@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet staticcheck bench bench-smoke bench-parallel fmt ci golden test-faults test-crash test-failover fuzz-smoke watchers-smoke test-parallel test-mobility bench-mobility
+.PHONY: all build test race vet staticcheck bench bench-smoke fmt ci golden test-faults test-crash test-failover fuzz-smoke watchers-smoke test-parallel test-mobility bench-mobility
 
 all: build vet test
 
@@ -10,8 +10,8 @@ all: build vet test
 # so benchmark code cannot rot, the seeded fault-injection suite, the
 # crash-recovery boundary replay, the replication/failover suite, a
 # short fuzz pass over the shared wire codec, one quick run of the
-# northbound watchers fan-out, and the parallel-optimizer parity suite
-# repeated at GOMAXPROCS=1,2,4.
+# northbound watchers fan-out, and the pooled-evaluation determinism
+# suite repeated at GOMAXPROCS=1,2,4.
 ci: build vet staticcheck race golden bench-smoke test-faults test-crash test-failover test-mobility fuzz-smoke watchers-smoke test-parallel
 
 # fuzz-smoke runs the wire-frame fuzzer briefly on top of its checked-in
@@ -120,16 +120,10 @@ bench:
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
-# bench-parallel records the sweep-scaling curve (one delta CD sweep at
-# pool widths 1/2/4/8) with host CPU metadata into BENCH_parallel.json.
-# Scaling is only visible on multi-core hosts; the record carries
-# num_cpu/gomaxprocs so a 1-CPU capture is not misread as a regression.
-bench-parallel:
-	./scripts/record-bench.sh 'BenchmarkParallelSweep' ./internal/optimize/ BENCH_parallel.json
-
-# test-parallel reruns the optimizer and sensing suites at several
-# GOMAXPROCS values (-cpu multiplies each test): the parallel sweeps must
-# stay bit-identical to serial whether the runtime has 1, 2, or 4 procs.
+# test-parallel reruns the optimizer, sensing and engine suites at several
+# GOMAXPROCS values (-cpu multiplies each test): pooled WeightedSum
+# evaluation and Engine.ForEach fan-outs must stay bit-identical to serial
+# whether the runtime has 1, 2, or 4 procs.
 test-parallel:
 	$(GO) test -count=1 -cpu=1,2,4 ./internal/optimize/ ./internal/sensing/ ./internal/engine/
 

@@ -156,17 +156,6 @@ func BenchmarkAblationGradientRandomSearch(b *testing.B) {
 	b.ReportMetric(-loss, "sum-spectral-eff")
 }
 
-func BenchmarkAblationGradientAnneal(b *testing.B) {
-	obj := ablationObjective(b)
-	b.ResetTimer()
-	var loss float64
-	for i := 0; i < b.N; i++ {
-		res := optimize.Anneal(context.Background(), obj, optimize.ZeroPhases(obj.Shape()), optimize.Options{MaxIters: 100, Seed: int64(i)})
-		loss = res.Loss
-	}
-	b.ReportMetric(-loss, "sum-spectral-eff")
-}
-
 // --- Ablation D2: control granularity vs steering quality ---
 
 func granularitySNR(b *testing.B, g surface.Granularity, bits int) float64 {

@@ -129,9 +129,6 @@ type daemonOptions struct {
 	maxConns int
 	// idleTimeout disconnects silent text-mode peers (0 = default).
 	idleTimeout time.Duration
-	// optWorkers caps engine workers per optimizer run (0 = engine
-	// width, 1 = serial); results are identical either way.
-	optWorkers int
 	// replanBurst enables the replan governor when > 0: each interference
 	// domain may re-plan this many times back-to-back before churn is
 	// coalesced (0 keeps the legacy immediate re-plan path).
@@ -314,8 +311,7 @@ func newDaemon(ctx context.Context, surfaceList string, opts daemonOptions) (*da
 	}
 
 	orch, err := surfos.NewOrchestrator(d.apt.Scene, d.hw, surfos.Options{
-		OptWorkers: opts.optWorkers,
-		WarmStart:  opts.warmReplan,
+		WarmStart: opts.warmReplan,
 	})
 	if err != nil {
 		return nil, err
@@ -1155,7 +1151,6 @@ func main() {
 	tenantQuotas := flag.String("tenant-quota", "", "per-tenant admission quotas, NAME=MAX[:WEIGHT],...")
 	maxConns := flag.Int("max-conns", defaultMaxNorthboundConns, "northbound concurrent-connection cap")
 	idleTimeout := flag.Duration("idle-timeout", defaultNorthboundIdleTimeout, "northbound text-session idle disconnect timeout")
-	optWorkers := flag.Int("opt-workers", 0, "engine workers per optimizer run (0 = all, 1 = serial; results identical)")
 	replanBurst := flag.Int("replan-burst", 0, "replan governor token-bucket burst per domain (0 disables the governor)")
 	replanRefill := flag.Duration("replan-refill", 0, "replan governor token refill interval (0 = default 500ms)")
 	replanStaleness := flag.Duration("replan-staleness", 0, "bound on how long a dirty domain may serve a stale plan (0 = default 2s)")
@@ -1179,7 +1174,6 @@ func main() {
 		quotas:          quotas,
 		maxConns:        *maxConns,
 		idleTimeout:     *idleTimeout,
-		optWorkers:      *optWorkers,
 		replanBurst:     *replanBurst,
 		replanRefill:    *replanRefill,
 		replanStaleness: *replanStaleness,

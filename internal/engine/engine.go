@@ -128,7 +128,7 @@ type Stats struct {
 // The worker pool is a token budget, not a fixed goroutine set: every
 // fan-out (ForEach, or a Scope held across many fan-outs) borrows spare
 // tokens non-blockingly and always keeps the calling goroutine working
-// inline, so nested fan-outs — an optimizer sweep inside an orchestrator
+// inline, so nested fan-outs — a pooled joint Eval inside an orchestrator
 // shard reconcile — share one budget instead of multiplying it. An inner
 // fan-out that finds no spare tokens degrades to serial on its caller's
 // goroutine; it can never deadlock waiting for tokens the outer fan-out
@@ -496,8 +496,8 @@ func ctxErr(ctx context.Context) error {
 }
 
 // Scope is a reserved slice of the engine's worker budget, held across
-// many fan-outs. Callers that need stable per-worker state (the
-// optimizer's per-worker evaluator clones) acquire a scope once, size
+// many fan-outs. Callers that need stable per-worker state (one
+// scratch buffer per slot, say) acquire a scope once, size
 // their state to Workers(), and run every fan-out through it; the slot
 // index passed to fn identifies which per-worker state the invocation may
 // use. A Scope is not safe for concurrent use by multiple goroutines;

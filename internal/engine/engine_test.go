@@ -409,11 +409,13 @@ func TestSortedSurfaces(t *testing.T) {
 	}
 }
 
-// TestParallelSweepWithHeatmapOnSharedPool hammers an optimizer sweep and
-// heatmap evaluation jobs on the same engine pool concurrently: no data
-// race, no deadlock from pool re-entrancy (the sweep borrows workers
-// through a scope and degrades gracefully when heatmaps hold them), and
-// the sweep result stays bit-identical to a serial run.
+// TestParallelSweepWithHeatmapOnSharedPool runs a scoped fan-out job and
+// heatmap evaluations on the same engine pool concurrently: one worker
+// budget (the two jobs together never run more callbacks than the engine
+// has workers to lend plus their own two goroutines), no deadlock from
+// pool re-entrancy (the scope degrades to its caller alone while heatmaps
+// hold the tokens), no data race, and the job's output stays identical to
+// a serial loop.
 func TestParallelSweepWithHeatmapOnSharedPool(t *testing.T) {
 	apt, s := rig(t)
 	ctx := context.Background()
@@ -421,20 +423,38 @@ func TestParallelSweepWithHeatmapOnSharedPool(t *testing.T) {
 	reg := apt.Regions[scene.RegionTargetRoom]
 	pts := reg.GridPoints(0.7, scene.EvalHeight)
 
-	eng := engine.New(engine.Options{Workers: 8})
+	const width = 4
+	eng := engine.New(engine.Options{Workers: width})
 	chans, err := eng.Channels(ctx, spec(apt, s), apt.AP, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	obj, err := optimize.NewCoverageObjective(chans, budget)
-	if err != nil {
-		t.Fatal(err)
+	cfgs := []surface.Config{s.Off()}
+	snr := func(i int) float64 {
+		h, err := chans[i].Eval(cfgs)
+		if err != nil {
+			t.Error(err)
+		}
+		return budget.SNRdB(h)
 	}
-	init := optimize.ZeroPhases(obj.Shape())
-	serial := optimize.CoordinateDescent(ctx, obj, init, []float64{0, math.Pi}, optimize.Options{MaxIters: 2})
+	want := make([]float64, len(chans))
+	for i := range want {
+		want[i] = snr(i)
+	}
 
-	n := s.Layout.Rows * s.Layout.Cols
-	cfg := surface.Config{Property: surface.Phase, Values: make([]float64, n)}
+	var cur, peak atomic.Int32
+	counted := func(out []float64, i int) {
+		n := cur.Add(1)
+		for {
+			p := peak.Load()
+			if n <= p || peak.CompareAndSwap(p, n) {
+				break
+			}
+		}
+		out[i] = snr(i)
+		cur.Add(-1)
+	}
+
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
@@ -446,30 +466,29 @@ func TestParallelSweepWithHeatmapOnSharedPool(t *testing.T) {
 				return
 			default:
 			}
-			_ = eng.ForEach(ctx, len(chans), func(i int) {
-				h, err := chans[i].Eval([]surface.Config{cfg})
-				if err == nil {
-					out[i] = budget.SNRdB(h)
-				}
-			})
+			_ = eng.ForEach(ctx, len(chans), func(i int) { counted(out, i) })
 		}
 	}()
 
-	for i := 0; i < 6; i++ {
-		par := optimize.CoordinateDescent(ctx, obj, init, []float64{0, math.Pi},
-			optimize.Options{MaxIters: 2, Engine: eng, Workers: 0})
-		if par.Loss != serial.Loss || par.Evals != serial.Evals {
-			t.Fatalf("run %d: parallel (loss %.17g, evals %d) != serial (loss %.17g, evals %d)",
-				i, par.Loss, par.Evals, serial.Loss, serial.Evals)
+	for run := 0; run < 50; run++ {
+		sc := eng.Acquire(0)
+		got := make([]float64, len(chans))
+		err := sc.ForEach(ctx, len(chans), func(_, i int) { counted(got, i) })
+		sc.Release()
+		if err != nil {
+			t.Fatal(err)
 		}
-		for sf := range serial.Phases {
-			for k := range serial.Phases[sf] {
-				if par.Phases[sf][k] != serial.Phases[sf][k] {
-					t.Fatalf("run %d: phases diverge at s=%d k=%d", i, sf, k)
-				}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("run %d: point %d: scoped %.17g != serial %.17g", run, i, got[i], want[i])
 			}
 		}
 	}
 	close(stop)
 	<-done
+	// The engine lends width-1 workers in total; each of the two top-level
+	// jobs also runs on its own calling goroutine.
+	if p := peak.Load(); p > width+1 {
+		t.Errorf("peak concurrent callbacks %d exceeds the shared budget %d", p, width+1)
+	}
 }

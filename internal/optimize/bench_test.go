@@ -1,27 +1,14 @@
 package optimize
 
 import (
-	"context"
-	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
-	"surfos/internal/engine"
 	"surfos/internal/rfsim"
 )
 
-// benchOpaque hides delta support so a benchmark can force the full-Eval
-// path on the same objective.
-type benchOpaque struct{ inner Objective }
-
-func (o benchOpaque) Shape() []int { return o.inner.Shape() }
-func (o benchOpaque) Eval(p [][]float64, g bool) (float64, [][]float64) {
-	return o.inner.Eval(p, g)
-}
-
-// benchFixture is the recorded BENCH_optimize.json workload: a 24×24
-// single-surface coverage objective over nChans receiver locations.
+// benchFixture is a 24×24 single-surface coverage objective over nChans
+// receiver locations.
 func benchFixture(nChans int) (*CoverageObjective, [][]float64) {
 	r := rand.New(rand.NewSource(42))
 	shape := []int{576}
@@ -42,65 +29,5 @@ func BenchmarkObjectiveEval(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		obj.Eval(phases, true)
-	}
-}
-
-var benchCandidates = []float64{0, math.Pi}
-
-// BenchmarkCoordinateDescentFull prices one 1-bit sweep with every candidate
-// paid as a full objective evaluation.
-func BenchmarkCoordinateDescentFull(b *testing.B) {
-	obj, init := benchFixture(4)
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		CoordinateDescent(ctx, benchOpaque{obj}, init, benchCandidates, Options{MaxIters: 1})
-	}
-}
-
-// BenchmarkCoordinateDescentDelta is the same sweep through the delta
-// evaluation path.
-func BenchmarkCoordinateDescentDelta(b *testing.B) {
-	obj, init := benchFixture(4)
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		CoordinateDescent(ctx, obj, init, benchCandidates, Options{MaxIters: 1})
-	}
-}
-
-// BenchmarkParallelSweep measures one delta coordinate-descent sweep fanned
-// across engine pools of increasing width. Workers=1 is the serial baseline
-// (no scope is ever acquired); wider pools speculate candidate blocks on
-// per-worker evaluator clones. Every width produces bit-identical results,
-// so the curve is purely a throughput measurement. Recorded by
-// `make bench-parallel` into BENCH_parallel.json.
-func BenchmarkParallelSweep(b *testing.B) {
-	obj, init := benchFixture(4)
-	ctx := context.Background()
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			eng := engine.New(engine.Options{Workers: w})
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				CoordinateDescent(ctx, obj, init, benchCandidates, Options{
-					MaxIters: 1, Engine: eng, Workers: w,
-				})
-			}
-		})
-	}
-}
-
-// BenchmarkAnnealDelta measures annealing proposals priced as deltas.
-func BenchmarkAnnealDelta(b *testing.B) {
-	obj, init := benchFixture(4)
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Anneal(ctx, obj, init, Options{MaxIters: 512, Seed: 7})
 	}
 }

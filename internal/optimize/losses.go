@@ -53,12 +53,6 @@ func NewCoverageObjective(chans []*rfsim.Channel, lb rfsim.LinkBudget) (*Coverag
 // Shape implements Objective.
 func (o *CoverageObjective) Shape() []int { return o.shape }
 
-// se returns the spectral-efficiency term of one channel value.
-func (o *CoverageObjective) se(h complex128) float64 {
-	p := real(h)*real(h) + imag(h)*imag(h)
-	return math.Log2(1 + o.snrScale*p)
-}
-
 // Eval implements Objective. Loss = -Σ_i B·log2(1 + S0·|h_i|²). Capacity is
 // normalized by bandwidth (bits/s/Hz) to keep losses O(10) regardless of
 // channel width.
@@ -94,83 +88,6 @@ func (o *CoverageObjective) Eval(phases [][]float64, wantGrad bool) (float64, []
 		}
 	}
 	return loss, grad
-}
-
-// coverageEvaluator caches one channel session per location; a trial prices
-// every location at the moved element in O(#channels).
-type coverageEvaluator struct {
-	o     *CoverageObjective
-	evals []*rfsim.Evaluator
-	loss  float64
-	trial float64
-}
-
-// NewDeltaEvaluator implements DeltaObjective.
-func (o *CoverageObjective) NewDeltaEvaluator(phases [][]float64) DeltaEvaluator {
-	if err := shapeMatches(o.shape, phases); err != nil {
-		panic(err)
-	}
-	e := &coverageEvaluator{o: o, evals: make([]*rfsim.Evaluator, len(o.Channels))}
-	for i, ch := range o.Channels {
-		ev, err := ch.NewEvaluator(phases)
-		if err != nil {
-			panic(err) // unreachable: shape checked above
-		}
-		e.evals[i] = ev
-		e.loss -= o.se(ev.H())
-	}
-	return e
-}
-
-func (e *coverageEvaluator) Loss() float64 { return e.loss }
-
-func (e *coverageEvaluator) TryDelta(s, k int, newPhase float64) float64 {
-	var loss float64
-	for _, ev := range e.evals {
-		loss -= e.o.se(ev.TryDelta(s, k, newPhase))
-	}
-	e.trial = loss
-	return loss
-}
-
-func (e *coverageEvaluator) Commit() {
-	for _, ev := range e.evals {
-		ev.Commit()
-	}
-	e.loss = e.trial
-}
-
-func (e *coverageEvaluator) Revert() {
-	for _, ev := range e.evals {
-		ev.Revert()
-	}
-}
-
-// Clone implements ParallelDeltaEvaluator: each location session is cloned
-// with its own phasor cache, so the clone prices moves with no shared state.
-func (e *coverageEvaluator) Clone() DeltaEvaluator {
-	evals := make([]*rfsim.Evaluator, len(e.evals))
-	for i, ev := range e.evals {
-		evals[i] = ev.Clone()
-	}
-	return &coverageEvaluator{o: e.o, evals: evals, loss: e.loss}
-}
-
-// IndependentElements implements ParallelDeltaEvaluator: true when every
-// location channel is single-bounce only.
-func (e *coverageEvaluator) IndependentElements() bool {
-	for _, ev := range e.evals {
-		if !ev.Independent() {
-			return false
-		}
-	}
-	return true
-}
-
-// CloneForWorker implements ParallelObjective: the clone shares the channel
-// decompositions and link budget (immutable) but owns fresh Eval scratch.
-func (o *CoverageObjective) CloneForWorker() Objective {
-	return &CoverageObjective{Channels: o.Channels, Budget: o.Budget, shape: o.shape, snrScale: o.snrScale}
 }
 
 // MeanSpectralEfficiency reports the average bits/s/Hz across the
@@ -260,81 +177,6 @@ func (o *PowerObjective) Eval(phases [][]float64, wantGrad bool) (float64, [][]f
 	return loss, grad
 }
 
-// powerEvaluator is the delta session of PowerObjective.
-type powerEvaluator struct {
-	o     *PowerObjective
-	evals []*rfsim.Evaluator
-	loss  float64
-	trial float64
-}
-
-// NewDeltaEvaluator implements DeltaObjective.
-func (o *PowerObjective) NewDeltaEvaluator(phases [][]float64) DeltaEvaluator {
-	if err := shapeMatches(o.shape, phases); err != nil {
-		panic(err)
-	}
-	e := &powerEvaluator{o: o, evals: make([]*rfsim.Evaluator, len(o.Channels))}
-	for i, ch := range o.Channels {
-		ev, err := ch.NewEvaluator(phases)
-		if err != nil {
-			panic(err) // unreachable: shape checked above
-		}
-		e.evals[i] = ev
-		h := ev.H()
-		e.loss -= (real(h)*real(h) + imag(h)*imag(h)) * o.scale
-	}
-	return e
-}
-
-func (e *powerEvaluator) Loss() float64 { return e.loss }
-
-func (e *powerEvaluator) TryDelta(s, k int, newPhase float64) float64 {
-	var loss float64
-	for _, ev := range e.evals {
-		h := ev.TryDelta(s, k, newPhase)
-		loss -= (real(h)*real(h) + imag(h)*imag(h)) * e.o.scale
-	}
-	e.trial = loss
-	return loss
-}
-
-func (e *powerEvaluator) Commit() {
-	for _, ev := range e.evals {
-		ev.Commit()
-	}
-	e.loss = e.trial
-}
-
-func (e *powerEvaluator) Revert() {
-	for _, ev := range e.evals {
-		ev.Revert()
-	}
-}
-
-// Clone implements ParallelDeltaEvaluator.
-func (e *powerEvaluator) Clone() DeltaEvaluator {
-	evals := make([]*rfsim.Evaluator, len(e.evals))
-	for i, ev := range e.evals {
-		evals[i] = ev.Clone()
-	}
-	return &powerEvaluator{o: e.o, evals: evals, loss: e.loss}
-}
-
-// IndependentElements implements ParallelDeltaEvaluator.
-func (e *powerEvaluator) IndependentElements() bool {
-	for _, ev := range e.evals {
-		if !ev.Independent() {
-			return false
-		}
-	}
-	return true
-}
-
-// CloneForWorker implements ParallelObjective.
-func (o *PowerObjective) CloneForWorker() Objective {
-	return &PowerObjective{Channels: o.Channels, shape: o.shape, scale: o.scale}
-}
-
 // SecurityObjective protects a link by steering energy away from an
 // eavesdropper location while preserving the legitimate user's signal
 // (the security service): loss = |h_eve|²/bound² − w·SE_user.
@@ -384,13 +226,6 @@ func NewSecurityObjective(user, eve *rfsim.Channel, userWeight float64, lb rfsim
 // Shape implements Objective.
 func (o *SecurityObjective) Shape() []int { return o.shape }
 
-// secLoss combines the two channel values into the security loss.
-func (o *SecurityObjective) secLoss(hu, he complex128) float64 {
-	pu := real(hu)*real(hu) + imag(hu)*imag(hu)
-	pe := real(he)*real(he) + imag(he)*imag(he)
-	return pe*o.eveScale - o.UserWeight*math.Log2(1+o.snrScale*pu)
-}
-
 // Eval implements Objective.
 func (o *SecurityObjective) Eval(phases [][]float64, wantGrad bool) (float64, [][]float64) {
 	if err := shapeMatches(o.shape, phases); err != nil {
@@ -420,64 +255,4 @@ func (o *SecurityObjective) Eval(phases [][]float64, wantGrad bool) (float64, []
 		}
 	}
 	return loss, grad
-}
-
-// securityEvaluator is the delta session of SecurityObjective.
-type securityEvaluator struct {
-	o        *SecurityObjective
-	user, ev *rfsim.Evaluator
-	loss     float64
-	trial    float64
-}
-
-// NewDeltaEvaluator implements DeltaObjective.
-func (o *SecurityObjective) NewDeltaEvaluator(phases [][]float64) DeltaEvaluator {
-	if err := shapeMatches(o.shape, phases); err != nil {
-		panic(err)
-	}
-	user, err := o.User.NewEvaluator(phases)
-	if err != nil {
-		panic(err) // unreachable: shape checked above
-	}
-	eve, err := o.Eve.NewEvaluator(phases)
-	if err != nil {
-		panic(err)
-	}
-	return &securityEvaluator{o: o, user: user, ev: eve, loss: o.secLoss(user.H(), eve.H())}
-}
-
-func (e *securityEvaluator) Loss() float64 { return e.loss }
-
-func (e *securityEvaluator) TryDelta(s, k int, newPhase float64) float64 {
-	e.trial = e.o.secLoss(e.user.TryDelta(s, k, newPhase), e.ev.TryDelta(s, k, newPhase))
-	return e.trial
-}
-
-func (e *securityEvaluator) Commit() {
-	e.user.Commit()
-	e.ev.Commit()
-	e.loss = e.trial
-}
-
-func (e *securityEvaluator) Revert() {
-	e.user.Revert()
-	e.ev.Revert()
-}
-
-// Clone implements ParallelDeltaEvaluator.
-func (e *securityEvaluator) Clone() DeltaEvaluator {
-	return &securityEvaluator{o: e.o, user: e.user.Clone(), ev: e.ev.Clone(), loss: e.loss}
-}
-
-// IndependentElements implements ParallelDeltaEvaluator.
-func (e *securityEvaluator) IndependentElements() bool {
-	return e.user.Independent() && e.ev.Independent()
-}
-
-// CloneForWorker implements ParallelObjective.
-func (o *SecurityObjective) CloneForWorker() Objective {
-	return &SecurityObjective{
-		User: o.User, Eve: o.Eve, UserWeight: o.UserWeight, Budget: o.Budget,
-		shape: o.shape, snrScale: o.snrScale, eveScale: o.eveScale,
-	}
 }

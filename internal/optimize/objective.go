@@ -5,9 +5,8 @@
 // ("multitasking with joint optimization").
 //
 // Objectives expose analytic gradients with respect to per-element phase
-// shifts, which the gradient optimizers exploit; derivative-free optimizers
-// (random search, simulated annealing) only use Eval and work for any
-// hardware constraint set.
+// shifts, which Adam exploits; the derivative-free baseline (random search)
+// only uses Eval and works for any hardware constraint set.
 package optimize
 
 import (
@@ -33,72 +32,6 @@ type Objective interface {
 	// element (same shape as phases). Implementations may return a nil
 	// gradient when wantGrad is false.
 	Eval(phases [][]float64, wantGrad bool) (float64, [][]float64)
-}
-
-// DeltaEvaluator is a stateful evaluation session positioned at a committed
-// phase set. TryDelta prices moving a single element to a new phase and
-// makes that move pending; Commit applies the pending move, Revert discards
-// it. Only one move may be pending at a time — a later TryDelta replaces the
-// pending one. Sessions are not safe for concurrent use.
-//
-// For objectives built on channel decompositions a trial is O(#channels)
-// instead of O(#channels × #elements), which is what makes coordinate
-// descent and annealing sweeps O(N) instead of O(N²).
-type DeltaEvaluator interface {
-	// Loss returns the loss at the committed state.
-	Loss() float64
-	// TryDelta returns the loss with element k of surface s at newPhase.
-	TryDelta(s, k int, newPhase float64) float64
-	// Commit applies the pending trial.
-	Commit()
-	// Revert discards the pending trial.
-	Revert()
-}
-
-// DeltaObjective is the optional extension of Objective for losses that
-// support single-element delta evaluation. NewDeltaEvaluator opens a session
-// at the given phases; it returns nil when the objective cannot provide one
-// (e.g. a WeightedSum containing a non-delta term), in which case callers
-// must fall back to full Eval.
-type DeltaObjective interface {
-	Objective
-	NewDeltaEvaluator(phases [][]float64) DeltaEvaluator
-}
-
-// ParallelDeltaEvaluator is the optional extension of DeltaEvaluator for
-// sessions that can be cloned once per worker so a sweep prices candidate
-// batches concurrently.
-//
-// Clone semantics: the clone is positioned at the receiver's committed
-// state and owns every piece of cached state (phasors, measurement
-// vectors, scratch arenas) — no sharing, no locks on the pricing path. A
-// pending trial is never carried into a clone. Replaying an identical
-// TryDelta/Commit sequence on a clone reproduces the committed state of
-// the original bit-for-bit; the parallel optimizers rely on this to keep
-// per-worker sessions synchronized through a shared move log instead of
-// re-cloning. Clone may return nil when a session cannot be cloned (a
-// composed session with a non-cloneable child); callers then fall back to
-// the serial path.
-type ParallelDeltaEvaluator interface {
-	DeltaEvaluator
-	Clone() DeltaEvaluator
-	// IndependentElements reports whether single-element moves perturb
-	// disjoint cached state (single-bounce channel terms: h is affine with
-	// constant per-element coefficients). It is a speculation-batching
-	// hint, never a correctness requirement — parallel sweeps stay exact
-	// either way, coupled sessions just speculate in smaller blocks.
-	IndependentElements() bool
-}
-
-// ParallelObjective is the optional extension of Objective for losses
-// whose full Eval can run on per-worker clones. CloneForWorker returns an
-// independent Objective sharing the immutable problem inputs (channel
-// decompositions, budgets) but owning its own evaluation scratch, so
-// distinct clones may Eval concurrently. It may return nil when the
-// objective cannot provide one; callers then fall back to serial Eval.
-type ParallelObjective interface {
-	Objective
-	CloneForWorker() Objective
 }
 
 // Phasors converts phase values to unit phasors e^{jφ}, shaped like the
@@ -201,10 +134,9 @@ type WeightedSum struct {
 	// Pool configuration from UsePool: when set, Eval fans the terms
 	// across the engine's workers (each term instance owns its scratch, so
 	// distinct terms evaluate concurrently) and reduces in term order.
-	pool        *engine.Engine
-	poolWorkers int
-	termLoss    []float64     // per-term losses, reduced in term order
-	termGrad    [][][]float64 // per-term gradients (term-owned buffers)
+	pool     *engine.Engine
+	termLoss []float64     // per-term losses, reduced in term order
+	termGrad [][][]float64 // per-term gradients (term-owned buffers)
 }
 
 // UsePool makes Eval fan its terms across the engine's worker pool:
@@ -213,12 +145,10 @@ type WeightedSum struct {
 // serially in term order afterwards. The reduction performs exactly one
 // addition per term per element — the same operation sequence as the
 // serial loop — so pooled evaluation is bit-identical to serial and safe
-// under golden-output checks. workers follows the engine convention: 0
-// means the engine's width, 1 forces the serial path. A nil engine
-// disables pooling.
-func (w *WeightedSum) UsePool(eng *engine.Engine, workers int) {
+// under golden-output checks. The fan-out borrows up to the engine's full
+// width; a nil engine disables pooling.
+func (w *WeightedSum) UsePool(eng *engine.Engine) {
 	w.pool = eng
-	w.poolWorkers = workers
 }
 
 // NewWeightedSum validates shapes and builds the combination.
@@ -260,7 +190,7 @@ func (w *WeightedSum) Eval(phases [][]float64, wantGrad bool) (float64, [][]floa
 		w.grad = gradScratch(w.grad, w.Shape())
 		grad = w.grad
 	}
-	if w.pool != nil && w.poolWorkers != 1 && len(w.Terms) > 1 {
+	if w.pool != nil && len(w.Terms) > 1 {
 		if l, ok := w.evalPooled(phases, wantGrad, grad); ok {
 			return l, grad
 		}
@@ -283,7 +213,7 @@ func (w *WeightedSum) Eval(phases [][]float64, wantGrad bool) (float64, [][]floa
 // order. It reports false (leaving grad untouched) when the pool has no
 // spare workers right now, in which case the caller runs the serial loop.
 func (w *WeightedSum) evalPooled(phases [][]float64, wantGrad bool, grad [][]float64) (float64, bool) {
-	sc := w.pool.Acquire(w.poolWorkers)
+	sc := w.pool.Acquire(0)
 	defer sc.Release()
 	if sc.Workers() <= 1 {
 		return 0, false
@@ -309,107 +239,4 @@ func (w *WeightedSum) evalPooled(phases [][]float64, wantGrad bool, grad [][]flo
 		w.termGrad[i] = nil
 	}
 	return loss, true
-}
-
-// CloneForWorker implements ParallelObjective: the clone carries per-worker
-// clones of every term (and no pool — clones evaluate on the worker that
-// owns them). Returns nil when any term is not cloneable.
-func (w *WeightedSum) CloneForWorker() Objective {
-	terms := make([]Objective, len(w.Terms))
-	for i, t := range w.Terms {
-		p, ok := t.(ParallelObjective)
-		if !ok {
-			return nil
-		}
-		c := p.CloneForWorker()
-		if c == nil {
-			return nil
-		}
-		terms[i] = c
-	}
-	return &WeightedSum{Terms: terms, Weights: w.Weights}
-}
-
-// weightedSumEvaluator composes the child sessions of a WeightedSum: every
-// trial, commit, and revert fans out to each term's own evaluator.
-type weightedSumEvaluator struct {
-	children []DeltaEvaluator
-	weights  []float64
-	loss     float64
-	trial    float64
-}
-
-// NewDeltaEvaluator implements DeltaObjective. It returns nil when any term
-// does not support delta evaluation.
-func (w *WeightedSum) NewDeltaEvaluator(phases [][]float64) DeltaEvaluator {
-	children := make([]DeltaEvaluator, len(w.Terms))
-	var loss float64
-	for i, t := range w.Terms {
-		d, ok := t.(DeltaObjective)
-		if !ok {
-			return nil
-		}
-		ev := d.NewDeltaEvaluator(phases)
-		if ev == nil {
-			return nil
-		}
-		children[i] = ev
-		loss += w.Weights[i] * ev.Loss()
-	}
-	return &weightedSumEvaluator{children: children, weights: w.Weights, loss: loss}
-}
-
-func (e *weightedSumEvaluator) Loss() float64 { return e.loss }
-
-func (e *weightedSumEvaluator) TryDelta(s, k int, newPhase float64) float64 {
-	var loss float64
-	for i, c := range e.children {
-		loss += e.weights[i] * c.TryDelta(s, k, newPhase)
-	}
-	e.trial = loss
-	return loss
-}
-
-func (e *weightedSumEvaluator) Commit() {
-	for _, c := range e.children {
-		c.Commit()
-	}
-	e.loss = e.trial
-}
-
-func (e *weightedSumEvaluator) Revert() {
-	for _, c := range e.children {
-		c.Revert()
-	}
-}
-
-// Clone implements ParallelDeltaEvaluator by cloning every child session.
-// Returns nil when any child is not cloneable, so composed sweeps fall
-// back to the serial path as a unit.
-func (e *weightedSumEvaluator) Clone() DeltaEvaluator {
-	children := make([]DeltaEvaluator, len(e.children))
-	for i, c := range e.children {
-		p, ok := c.(ParallelDeltaEvaluator)
-		if !ok {
-			return nil
-		}
-		cc := p.Clone()
-		if cc == nil {
-			return nil
-		}
-		children[i] = cc
-	}
-	return &weightedSumEvaluator{children: children, weights: e.weights, loss: e.loss}
-}
-
-// IndependentElements reports independence only when every child declares
-// it — one coupled term makes the whole sum coupled.
-func (e *weightedSumEvaluator) IndependentElements() bool {
-	for _, c := range e.children {
-		p, ok := c.(ParallelDeltaEvaluator)
-		if !ok || !p.IndependentElements() {
-			return false
-		}
-	}
-	return true
 }

@@ -4,8 +4,6 @@ import (
 	"context"
 	"math"
 	"math/rand"
-
-	"surfos/internal/engine"
 )
 
 // Projector maps a phase set onto the feasible set of the hardware
@@ -17,30 +15,15 @@ type Projector func([][]float64) [][]float64
 // defaults, so a partially filled Options can never produce an infinite
 // (MaxIters ≤ 0 with no other stop) or diverging (LR ≤ 0) loop.
 //
-// Seed seeds the stochastic methods' RNG. Seed 0 is a fixed deterministic
-// seed like any other value — runs are never time-seeded, so repeated
-// invocations with identical inputs produce identical results.
+// Seed seeds RandomSearch's sampler (Adam is deterministic and ignores it).
+// Seed 0 is a fixed seed like any other value — runs are never time-seeded,
+// so repeated invocations with identical inputs produce identical results.
 type Options struct {
-	MaxIters  int     // default 200; values ≤ 0 use the default
+	MaxIters  int     // Adam steps / RandomSearch samples, default 200; values ≤ 0 use the default
 	LR        float64 // Adam learning rate (radians), default 0.3; ≤ 0 uses the default
-	Tolerance float64 // stop when |Δloss| < Tolerance for 10 iters, default 1e-9; ≤ 0 uses the default
-	Seed      int64   // RNG seed for stochastic methods; 0 is deterministic, not time-seeded
+	Tolerance float64 // Adam stops when |Δloss| < Tolerance for 10 iters, default 1e-9; ≤ 0 uses the default
+	Seed      int64   // RandomSearch RNG seed; 0 is deterministic, not time-seeded
 	Project   Projector
-
-	// Engine provides the worker pool for parallel sweeps
-	// (CoordinateDescent and Anneal). Nil keeps every method serial. The
-	// pool is shared: sweeps borrow workers through a scope, so optimizer
-	// fan-outs and concurrent engine jobs (heatmaps, shard reconciles)
-	// never oversubscribe the machine. Parallel sweeps are bit-identical
-	// to serial ones — same trajectory, same Result.Evals — because
-	// candidates are priced speculatively on per-worker evaluator clones
-	// and reduced serially in candidate order (see DESIGN.md §13).
-	Engine *engine.Engine
-	// Workers caps how many pool workers one sweep may borrow: 0 means
-	// the engine's full width, 1 forces serial — the engine.Engine
-	// convention. When Workers > 1, Project (if set) must be safe for
-	// concurrent calls; the driver-backed projectors are.
-	Workers int
 }
 
 func (o Options) withDefaults() Options {
@@ -60,29 +43,18 @@ func (o Options) withDefaults() Options {
 type Result struct {
 	Phases [][]float64
 	Loss   float64
-	// Iterations counts optimizer iterations in each method's natural unit:
-	// gradient steps (Adam), samples drawn (RandomSearch), proposals
-	// (Anneal), and full element sweeps (CoordinateDescent).
+	// Iterations counts gradient steps (Adam) or samples drawn
+	// (RandomSearch).
 	Iterations int
-	// Evals counts objective evaluations performed during the run — full
-	// Eval calls and single-element delta evaluations alike — so the cost
-	// of methods with different per-iteration eval counts stays comparable.
-	// Parallel sweeps count each candidate exactly once, exactly as the
-	// serial path would: speculative evaluations that are discarded when an
-	// earlier element commits are excluded here and reported in
-	// WastedEvals instead.
+	// Evals counts full objective evaluations performed during the run,
+	// including the one that prices the returned phases.
 	Evals int
-	// WastedEvals counts speculative evaluations discarded by parallel
-	// sweeps (candidates priced against a state that a preceding commit
-	// invalidated). Always zero on serial runs. Evals+WastedEvals is the
-	// total work performed; Evals alone matches the serial run bit-for-bit.
-	WastedEvals int
 	// Stopped is true when the run ended early because its context was
 	// canceled or its deadline expired. Phases/Loss still hold the best
 	// feasible candidate found up to that point.
 	Stopped bool
-	// History records the loss after each iteration (gradient methods and
-	// coordinate sweeps) or each improvement (stochastic methods).
+	// History records the loss after each iteration (Adam) or each
+	// improvement (RandomSearch).
 	History []float64
 }
 
@@ -97,16 +69,6 @@ func project(p Projector, phases [][]float64) [][]float64 {
 // value without crashing.
 func canceled(ctx context.Context) bool {
 	return ctx != nil && ctx.Err() != nil
-}
-
-// deltaSession opens a delta-evaluation session when the objective supports
-// one, or returns nil to select the full-recompute path.
-func deltaSession(obj Objective, phases [][]float64) DeltaEvaluator {
-	d, ok := obj.(DeltaObjective)
-	if !ok {
-		return nil
-	}
-	return d.NewDeltaEvaluator(phases)
 }
 
 // Adam minimizes the objective with the Adam gradient method starting at
@@ -225,251 +187,4 @@ func RandomSearch(ctx context.Context, obj Objective, opt Options) Result {
 		}
 	}
 	return Result{Phases: best, Loss: bestLoss, Iterations: it, Evals: evals, Stopped: stopped, History: history}
-}
-
-// nonEmptySurfaces lists the surfaces that have at least one element.
-func nonEmptySurfaces(phases [][]float64) []int {
-	out := make([]int, 0, len(phases))
-	for s := range phases {
-		if len(phases[s]) > 0 {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// annealDraw is one iteration's pre-drawn randomness: target element,
-// phase offset, and acceptance variate.
-type annealDraw struct {
-	s, k int
-	off  float64
-	u    float64
-}
-
-// annealDraws pre-draws the full proposal stream — four values per
-// iteration (surface, element, offset, acceptance) regardless of outcome —
-// so the RNG stream never depends on acceptance decisions. This is what
-// lets parallel batches speculate on future proposals and discard them
-// without perturbing the sequence: a discarded proposal is re-priced
-// against the new state with the *same* draw.
-func annealDraws(rng *rand.Rand, surfs []int, cur [][]float64, n int) []annealDraw {
-	draws := make([]annealDraw, n)
-	for i := range draws {
-		s := surfs[rng.Intn(len(surfs))]
-		draws[i] = annealDraw{
-			s:   s,
-			k:   rng.Intn(len(cur[s])),
-			off: (rng.Float64() - 0.5) * math.Pi,
-			u:   rng.Float64(),
-		}
-	}
-	return draws
-}
-
-// annealTemp is the cooling schedule at global iteration it.
-func annealTemp(t0 float64, it, maxIters int) float64 {
-	return t0 * math.Exp(-4*float64(it)/float64(maxIters))
-}
-
-// Anneal runs simulated annealing with single-element perturbations —
-// effective for coarse quantized hardware (1-bit surfaces) where gradients
-// mislead. Cancellation via ctx returns the best state reached so far.
-//
-// When the objective implements DeltaObjective and no projector is set,
-// each proposal is priced as a single-element delta (O(#channels) instead
-// of a full recompute); a projector forces the full path because it may
-// move every element. Surfaces with zero elements are never sampled; if
-// every surface is empty there is nothing to perturb and the run returns
-// immediately with the evaluated initial state and zero iterations.
-//
-// Proposal randomness is drawn up front, four variates per iteration
-// whether or not the proposal is accepted, so the stream is independent of
-// acceptance outcomes; with Options.Engine set, proposals are priced
-// speculatively on per-worker session clones and reduced in iteration
-// order, which reproduces the serial trajectory bit-for-bit.
-func Anneal(ctx context.Context, obj Objective, init [][]float64, opt Options) Result {
-	opt = opt.withDefaults()
-	rng := rand.New(rand.NewSource(opt.Seed))
-
-	cur := project(opt.Project, ClonePhases(init))
-
-	var ev DeltaEvaluator
-	if opt.Project == nil {
-		ev = deltaSession(obj, cur)
-	}
-	var curLoss float64
-	if ev != nil {
-		curLoss = ev.Loss()
-	} else {
-		curLoss, _ = obj.Eval(cur, false)
-	}
-	evals := 1
-	best := ClonePhases(cur)
-	bestLoss := curLoss
-	history := []float64{curLoss}
-
-	surfs := nonEmptySurfaces(cur)
-	if len(surfs) == 0 {
-		return Result{Phases: best, Loss: bestLoss, Iterations: 0, Evals: evals, History: history}
-	}
-	stopped := false
-
-	t0 := math.Abs(curLoss)*0.1 + 1e-3
-	draws := annealDraws(rng, surfs, cur, opt.MaxIters)
-
-	if sc := acquireScope(opt); sc != nil {
-		res, ok := annealParallel(ctx, obj, cur, ev, draws, curLoss, t0, opt, sc)
-		sc.Release()
-		if ok {
-			return res
-		}
-	}
-
-	it := 0
-	for ; it < opt.MaxIters; it++ {
-		if canceled(ctx) {
-			stopped = true
-			break
-		}
-		temp := annealTemp(t0, it, opt.MaxIters)
-		d := draws[it]
-		newPhase := cur[d.s][d.k] + d.off
-
-		if ev != nil {
-			l := ev.TryDelta(d.s, d.k, newPhase)
-			evals++
-			if l < curLoss || d.u < math.Exp((curLoss-l)/temp) {
-				ev.Commit()
-				cur[d.s][d.k] = newPhase
-				curLoss = l
-				if l < bestLoss {
-					copyPhases(best, cur)
-					bestLoss = l
-					history = append(history, l)
-				}
-			} else {
-				ev.Revert()
-			}
-			continue
-		}
-
-		cand := ClonePhases(cur)
-		cand[d.s][d.k] = newPhase
-		cand = project(opt.Project, cand)
-		l, _ := obj.Eval(cand, false)
-		evals++
-		if l < curLoss || d.u < math.Exp((curLoss-l)/temp) {
-			cur, curLoss = cand, l
-			if l < bestLoss {
-				best, bestLoss = ClonePhases(cand), l
-				history = append(history, l)
-			}
-		}
-	}
-	return Result{Phases: best, Loss: bestLoss, Iterations: it, Evals: evals, Stopped: stopped, History: history}
-}
-
-// CoordinateDescent cycles through elements, line-searching each phase over
-// a fixed grid of candidate values while holding the rest. With a 2-state
-// grid this is the classic greedy 1-bit RIS tuning algorithm. Cancellation
-// via ctx stops between element updates and returns the current state.
-//
-// When the objective implements DeltaObjective, each candidate is priced as
-// a single-element delta against the committed state, making a sweep O(N)
-// in the element count instead of O(N²); otherwise every candidate costs a
-// full Eval. The two paths search the identical candidate sequence. The
-// projector (applied to the initial point and the final result, never
-// inside a sweep — candidate grids are feasible by construction) does not
-// affect path selection.
-//
-// With Options.Engine set, candidate batches are priced concurrently on
-// per-worker evaluator clones (or per-worker objective clones on the
-// full-Eval path) and reduced serially in element and candidate order:
-// lowest loss wins, ties broken by lowest candidate index — exactly the
-// serial comparison sequence, so the parallel trajectory, Result.Evals,
-// and the returned phases are bit-identical to a serial run.
-//
-// Result.Iterations reports completed sweeps; Result.Evals reports
-// objective evaluations.
-func CoordinateDescent(ctx context.Context, obj Objective, init [][]float64, candidates []float64, opt Options) Result {
-	opt = opt.withDefaults()
-	if len(candidates) == 0 {
-		candidates = []float64{0, math.Pi / 2, math.Pi, 3 * math.Pi / 2}
-	}
-	cur := project(opt.Project, ClonePhases(init))
-
-	ev := deltaSession(obj, cur)
-	if sc := acquireScope(opt); sc != nil {
-		res, ok := cdParallel(ctx, obj, cur, candidates, opt, sc, ev)
-		sc.Release()
-		if ok {
-			return res
-		}
-	}
-	var curLoss float64
-	if ev != nil {
-		curLoss = ev.Loss()
-	} else {
-		curLoss, _ = obj.Eval(cur, false)
-	}
-	evals := 1
-	history := []float64{curLoss}
-	stopped := false
-
-	sweeps := 0
-sweeps:
-	for sweep := 0; sweep < opt.MaxIters; sweep++ {
-		improved := false
-		for s := range cur {
-			for k := range cur[s] {
-				if canceled(ctx) {
-					stopped = true
-					break sweeps
-				}
-				orig := cur[s][k]
-				bestV, bestL := orig, curLoss
-				for _, c := range candidates {
-					if c == orig {
-						continue
-					}
-					var l float64
-					if ev != nil {
-						l = ev.TryDelta(s, k, c)
-					} else {
-						cur[s][k] = c
-						l, _ = obj.Eval(cur, false)
-					}
-					evals++
-					if l < bestL {
-						bestV, bestL = c, l
-					}
-				}
-				cur[s][k] = bestV
-				if ev != nil {
-					if bestV != orig {
-						// Re-price the winning candidate so it becomes the
-						// pending trial, then commit it.
-						ev.TryDelta(s, k, bestV)
-						evals++
-						ev.Commit()
-					} else {
-						ev.Revert()
-					}
-				}
-				if bestL < curLoss {
-					curLoss = bestL
-					improved = true
-				}
-			}
-		}
-		sweeps++
-		history = append(history, curLoss)
-		if !improved {
-			break
-		}
-	}
-	cur = project(opt.Project, cur)
-	finalLoss, _ := obj.Eval(cur, false)
-	evals++
-	return Result{Phases: cur, Loss: finalLoss, Iterations: sweeps, Evals: evals, Stopped: stopped, History: history}
 }

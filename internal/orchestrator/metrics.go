@@ -26,11 +26,8 @@ func (o *Orchestrator) RegisterMetrics(r *metrics.Registry) {
 		"Configuration-optimizer runs completed across all reconciles.",
 		func() float64 { return float64(o.optRuns.Load()) })
 	r.CounterFunc("surfos_optimize_evals_total",
-		"Objective evaluations counted by the optimizer (each candidate once, as in a serial run).",
+		"Objective evaluations performed by the optimizer.",
 		func() float64 { return float64(o.optEvals.Load()) })
-	r.CounterFunc("surfos_optimize_wasted_evals_total",
-		"Speculative parallel evaluations discarded by commit invalidation.",
-		func() float64 { return float64(o.optWasted.Load()) })
 
 	r.RegisterCollector(func() []metrics.Family {
 		shards := o.ShardStats()

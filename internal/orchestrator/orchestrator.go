@@ -22,11 +22,6 @@ type Options struct {
 	Policy MultiplexPolicy
 	// OptIters bounds the configuration optimizer (default 150).
 	OptIters int
-	// OptWorkers caps the engine workers one optimizer run may borrow:
-	// 0 means the engine's full width, 1 forces serial sweeps (the
-	// engine.Engine convention). Parallel runs stay bit-identical to
-	// serial ones, so this is purely a resource-contention knob.
-	OptWorkers int
 	// GridStep is the default coverage evaluation spacing in meters (0.5).
 	GridStep float64
 	// SensingGridStep is the sensing training grid spacing (1.0).
@@ -134,12 +129,11 @@ type Orchestrator struct {
 	// reconcile duration (metrics.go).
 	latHist *metrics.Histogram
 	// sweepHist observes every optimizer run's wall-clock duration;
-	// optRuns/optEvals/optWasted accumulate run and evaluation counts.
-	// Shards optimize concurrently, so the counters are atomic.
+	// optRuns/optEvals accumulate run and evaluation counts. Shards
+	// optimize concurrently, so the counters are atomic.
 	sweepHist *metrics.Histogram
 	optRuns   atomic.Uint64
 	optEvals  atomic.Uint64
-	optWasted atomic.Uint64
 }
 
 // New builds an orchestrator over a scene and hardware inventory.

@@ -62,6 +62,12 @@ func addSurface(t *testing.T, apt *scene.Apartment, hw *hwmgr.Manager, id, model
 
 func newRig(t *testing.T, opts Options, models ...string) *rig {
 	t.Helper()
+	return newRigAt(t, opts, 24e9, models...)
+}
+
+// newRigAt is newRig with the AP on freqHz, for models outside the 24 GHz band.
+func newRigAt(t *testing.T, opts Options, freqHz float64, models ...string) *rig {
+	t.Helper()
 	apt := scene.NewApartment()
 	hw := hwmgr.New()
 	mounts := []string{scene.MountEastWall, scene.MountNorthWall}
@@ -69,7 +75,7 @@ func newRig(t *testing.T, opts Options, models ...string) *rig {
 		addSurface(t, apt, hw, model+"-"+mounts[i%2], model, mounts[i%2], 24, 24)
 	}
 	if err := hw.AddAP(&hwmgr.AccessPoint{
-		ID: "ap0", Pos: apt.AP, FreqHz: 24e9,
+		ID: "ap0", Pos: apt.AP, FreqHz: freqHz,
 		Budget:   rfsim.DefaultBudget(),
 		Antennas: 4,
 	}); err != nil {
@@ -172,6 +178,83 @@ func TestLinkBeatsOffConfig(t *testing.T) {
 	}
 	if got.Result.Metric < off+3 {
 		t.Errorf("optimized SNR %.1f dB not above off-config %.1f dB", got.Result.Metric, off)
+	}
+}
+
+// TestQuantizedHardwareLinkPlan pins the production path on quantized
+// devices: Adam in the continuous space, one projection onto the hardware's
+// phase states. Every pushed config must already be realizable (a fixed
+// point of the driver's projection, so the reported SNR is the SNR the
+// panel delivers), and quantization must not cost more than the optimizer
+// gained: the reported SNR is at least the all-zero-phase SNR.
+func TestQuantizedHardwareLinkPlan(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		model  string
+		freqHz float64
+	}{
+		{"1-bit element-wise", driver.ModelRFlens, 5.4e9},
+		{"2-bit element-wise", driver.ModelScatterMIMO, 5.4e9},
+		{"2-bit column-wise", driver.ModelNRSurface, 24e9},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := context.Background()
+			r := newRigAt(t, fastOpts(), tc.freqHz, tc.model)
+			pos := bedroomPoint()
+			task, err := r.o.EnhanceLink(ctx, LinkGoal{Endpoint: "e", Pos: pos}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.o.Reconcile(ctx); err != nil {
+				t.Fatal(err)
+			}
+			got, _ := r.o.Task(task.ID)
+			if got.State != TaskRunning {
+				t.Fatalf("task state = %v (err %v)", got.State, got.Err)
+			}
+
+			dev, _ := r.o.HW.Surface(tc.model + "-" + scene.MountEastWall)
+			spec, lay := dev.Drv.Spec(), dev.Drv.Surface().Layout
+			step := 2 * math.Pi / float64(int(1)<<spec.PhaseBits)
+			pushed := 0
+			for _, plan := range r.o.Plans() {
+				for _, e := range plan.Entries {
+					cfg, ok := e.Configs[dev.ID]
+					if !ok {
+						continue
+					}
+					pushed++
+					proj := dev.Drv.Project(cfg)
+					for i, v := range cfg.Values {
+						if math.Abs(proj.Values[i]-v) > 1e-9 {
+							t.Fatalf("element %d: pushed %v, hardware realizes %v", i, v, proj.Values[i])
+						}
+						if k := v / step; math.Abs(k-math.Round(k)) > 1e-9 {
+							t.Fatalf("element %d: phase %v is not one of the %d-bit states", i, v, spec.PhaseBits)
+						}
+						if spec.Granularity == surface.ColumnWise && v != cfg.Values[i%lay.Cols] {
+							t.Fatalf("element %d: phase %v differs from its column's %v", i, v, cfg.Values[i%lay.Cols])
+						}
+					}
+				}
+			}
+			if pushed == 0 {
+				t.Fatal("no config pushed to the device")
+			}
+
+			ap, _ := r.o.HW.AP("ap0")
+			tx, err := r.o.eng.Tx(ctx, r.o.specFor(tc.freqHz, []*hwmgr.Device{dev}), ap.Pos)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := tx.Channel(pos).Eval([]surface.Config{dev.Drv.Surface().Off()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if zero := ap.Budget.SNRdB(h); got.Result.Metric < zero {
+				t.Errorf("planned SNR %.2f dB below the all-zero-phase SNR %.2f dB", got.Result.Metric, zero)
+			}
+		})
 	}
 }
 

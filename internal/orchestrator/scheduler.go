@@ -448,15 +448,11 @@ func (o *Orchestrator) optimizeConfigs(ctx context.Context, obj optimize.Objecti
 		// duration of this run; the ordered reduction keeps pooled
 		// evaluation bit-identical to serial, so plans do not depend on
 		// the worker count.
-		ws.UsePool(o.eng, o.Opts.OptWorkers)
-		defer ws.UsePool(nil, 0)
+		ws.UsePool(o.eng)
+		defer ws.UsePool(nil)
 	}
 	start := time.Now()
-	res := optimize.Adam(ctx, obj, init, optimize.Options{
-		MaxIters: o.Opts.OptIters,
-		Engine:   o.eng,
-		Workers:  o.Opts.OptWorkers,
-	})
+	res := optimize.Adam(ctx, obj, init, optimize.Options{MaxIters: o.Opts.OptIters})
 	o.observeOptimize(time.Since(start), res)
 	res.Phases = projectorFor(devs)(res.Phases)
 	res.Loss, _ = obj.Eval(res.Phases, false)
@@ -475,7 +471,6 @@ func (o *Orchestrator) observeOptimize(d time.Duration, res optimize.Result) {
 	}
 	o.optRuns.Add(1)
 	o.optEvals.Add(uint64(res.Evals))
-	o.optWasted.Add(uint64(res.WastedEvals))
 }
 
 // applyEntries pushes each entry's configs to the devices as a codebook

@@ -139,9 +139,6 @@ func NewEstimator(sim *rfsim.Simulator, surfIdx int, ants []geom.Vec3, bins, sub
 // NumSlots returns the number of observation slots (antennas × subcarriers).
 func (e *Estimator) NumSlots() int { return len(e.Subcarriers) * len(e.Ants) }
 
-// slotFreq maps an observation slot to its subcarrier index.
-func (e *Estimator) slotFreq(slot int) int { return slot / len(e.Ants) }
-
 // binDirection converts a bin azimuth to a unit direction from the surface
 // into the room, rotated in the horizontal plane spanned by (normal, uAxis).
 func (e *Estimator) binDirection(theta float64) geom.Vec3 {

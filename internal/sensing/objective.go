@@ -6,7 +6,6 @@ import (
 	"math/cmplx"
 
 	"surfos/internal/em"
-	"surfos/internal/optimize"
 )
 
 // LocalizationObjective is the sensing task loss from the paper's §4: "the
@@ -69,12 +68,6 @@ func NewLocalizationObjective(est *Estimator, locs []*Measurement, beta float64)
 
 // Shape implements optimize.Objective.
 func (o *LocalizationObjective) Shape() []int { return o.shape }
-
-// CloneForWorker implements optimize.ParallelObjective. Eval allocates its
-// buffers per call and Observe/signatureRow write only into fresh storage,
-// so the objective holds no cross-call scratch and the receiver itself is
-// safe for concurrent Eval from multiple workers.
-func (o *LocalizationObjective) CloneForWorker() optimize.Objective { return o }
 
 // Eval implements optimize.Objective: mean cross-entropy across locations
 // and its gradient.
@@ -225,9 +218,7 @@ func (o *LocalizationObjective) evalOne(m *Measurement, x [][]complex128, grad [
 }
 
 // softmaxCE writes softmax(β·spec) into soft and returns the cross-entropy
-// against the one-hot trueBin. It is the single softmax/CE implementation
-// shared by the full evaluation and the delta evaluator, so the two paths
-// agree bit-for-bit on identical spectra.
+// against the one-hot trueBin.
 func softmaxCE(spec, soft []float64, beta float64, trueBin int) float64 {
 	zmax := math.Inf(-1)
 	for _, p := range spec {
