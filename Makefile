@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet staticcheck bench bench-smoke fmt ci golden test-faults test-crash test-failover fuzz-smoke watchers-smoke test-parallel test-mobility bench-mobility
+.PHONY: all build test race vet staticcheck bench bench-smoke fmt ci golden test-faults test-crash test-failover fuzz-smoke test-parallel test-mobility
 
 all: build vet test
 
@@ -9,22 +9,14 @@ all: build vet test
 # figures modulo timing strings), a one-iteration benchmark smoke pass
 # so benchmark code cannot rot, the seeded fault-injection suite, the
 # crash-recovery boundary replay, the replication/failover suite, a
-# short fuzz pass over the shared wire codec, one quick run of the
-# northbound watchers fan-out, and the pooled-evaluation determinism
-# suite repeated at GOMAXPROCS=1,2,4.
-ci: build vet staticcheck race golden bench-smoke test-faults test-crash test-failover test-mobility fuzz-smoke watchers-smoke test-parallel
+# short fuzz pass over the shared wire codec, and the pooled-evaluation
+# determinism suite repeated at GOMAXPROCS=1,2,4.
+ci: build vet staticcheck race golden bench-smoke test-faults test-crash test-failover test-mobility fuzz-smoke test-parallel
 
 # fuzz-smoke runs the wire-frame fuzzer briefly on top of its checked-in
 # seed corpus: enough to catch codec regressions without a fuzz farm.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzFrame -fuzztime=10s ./internal/wire/
-
-# watchers-smoke runs the northbound stream fan-out experiment once at
-# the quick profile; its shape check (exact delivery, zero drops,
-# bounded p99) is the pass criterion. BENCH_northbound.json is made by
-# the full profile: surfos-bench -exp watchers -profile full -json ...
-watchers-smoke:
-	$(GO) run ./cmd/surfos-bench -exp watchers -profile quick
 
 # staticcheck runs honnef.co/go/tools when the binary is available (the
 # GitHub workflow installs the pinned version; offline dev containers
@@ -89,12 +81,6 @@ test-mobility:
 			./internal/experiments ./cmd/... || exit 1; \
 	done
 
-# bench-mobility records the churn benchmark (full profile, seed 1) into
-# BENCH_mobility.json: re-plan counts, suppression/forcing, staleness
-# bound, cache carry rates, and wall-clock replan cost.
-bench-mobility:
-	$(GO) run ./cmd/surfos-bench -exp mobility -profile full -json BENCH_mobility.json
-
 golden:
 	./scripts/golden-check.sh
 
@@ -105,9 +91,10 @@ test:
 	$(GO) test ./...
 
 # The race target is CI's concurrency gate: the engine worker pool, the
-# orchestrator, and the telemetry/monitor path all run under the detector.
+# orchestrator, and the telemetry/monitor path all run under the detector,
+# in shuffled order (the same command ci.yml runs).
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -shuffle=on ./...
 
 vet:
 	$(GO) vet ./...

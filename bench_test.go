@@ -710,26 +710,20 @@ func BenchmarkReconcile(b *testing.B) {
 	for _, n := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("tasks=%d", n), func(b *testing.B) { benchmarkReconcile(b, n) })
 	}
-	// Multi-room scale matrix: the same pass over an 8-panel 4-room strip,
-	// monolithic (pre-sharding single scene-wide group) vs sharded
-	// (per-room interference domains).
+	// Multi-room scale: the same pass over an 8-panel 4-room strip, one
+	// shard per room (interference domain).
 	for _, n := range []int{64, 256} {
-		for _, mode := range []string{"monolithic", "sharded"} {
-			b.Run(fmt.Sprintf("rooms=4/tasks=%d/%s", n, mode), func(b *testing.B) {
-				benchmarkReconcileRooms(b, 4, n, mode == "monolithic")
-			})
-		}
+		b.Run(fmt.Sprintf("rooms=4/tasks=%d/sharded", n), func(b *testing.B) { benchmarkReconcileRooms(b, 4, n) })
 	}
 }
 
 // benchmarkReconcileRooms prices one scheduler pass over n link tasks
 // spread evenly across a rooms-room strip with two 16x16 panels per room.
 // The rooms are separated by doorless concrete dividers, so each is its
-// own interference domain. With sharding disabled every task optimizes
-// against all 2*rooms surfaces in one group; with sharding on, each
-// room's group sees only its own two panels, making per-task cost
-// independent of how many rooms the building has.
-func benchmarkReconcileRooms(b *testing.B, rooms, n int, monolithic bool) {
+// own interference domain: each room's group sees only its own two
+// panels, making per-task cost independent of how many rooms the building
+// has.
+func benchmarkReconcileRooms(b *testing.B, rooms, n int) {
 	strip := scene.NewRoomStrip(rooms)
 	hw := surfos.NewHardware()
 	for i := 0; i < rooms; i++ {
@@ -744,10 +738,9 @@ func benchmarkReconcileRooms(b *testing.B, rooms, n int, monolithic bool) {
 		b.Fatal(err)
 	}
 	orch, err := surfos.NewOrchestrator(strip.Scene, hw, surfos.Options{
-		OptIters:        40,
-		GridStep:        1.5,
-		Engine:          surfos.NewEngine(surfos.EngineOptions{}),
-		DisableSharding: monolithic,
+		OptIters: 40,
+		GridStep: 1.5,
+		Engine:   surfos.NewEngine(surfos.EngineOptions{}),
 	})
 	if err != nil {
 		b.Fatal(err)

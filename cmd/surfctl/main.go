@@ -1,7 +1,7 @@
 // Command surfctl is a diagnostic client for SurfOS control-protocol
 // agents. Pointed at a device agent, it speaks the southbound protocol
-// the way an operator debugs a single surface; pointed at a daemon's task
-// control port, it drives the orchestrator's northbound task API.
+// the way an operator debugs a single surface; pointed at a daemon's
+// northbound port, it drives the orchestrator's task API.
 //
 // Device commands:
 //
@@ -11,7 +11,7 @@
 //	surfctl -addr HOST:PORT select N
 //	surfctl -addr HOST:PORT zero         (program the all-zero mirror config)
 //
-// Task commands (against surfosd's -ctrl port):
+// Task commands (against surfosd's -listen port):
 //
 //	surfctl -addr HOST:PORT tasks [--watch]
 //	surfctl -addr HOST:PORT submit -kind link -endpoint laptop -pos 2.5,5.5,1.2 [-tenant NAME]
@@ -533,7 +533,7 @@ func streamTaskEvents(ctx context.Context, s *ctrlproto.Stream, out io.Writer) b
 }
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:7100", "agent address (device or surfosd -ctrl port)")
+	addr := flag.String("addr", "127.0.0.1:7100", "agent address (device agent or surfosd -listen port)")
 	server := flag.String("server", "", "comma-separated failover list of control addresses, tried in order (overrides -addr)")
 	flag.Parse()
 	target := *addr

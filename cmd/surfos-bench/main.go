@@ -3,27 +3,20 @@
 //
 // Usage:
 //
-//	surfos-bench [-exp table1|fig2|fig4|fig5|fig6|chaos|restart|failover|mobility|watchers|all] [-profile quick|full]
-//	             [-json FILE]
+//	surfos-bench [-exp table1|fig2|fig4|fig5|fig6|chaos|restart|failover|mobility|all] [-profile quick|full]
 //
 // The quick profile (default) shrinks grids and surfaces so the whole
 // suite runs in seconds while preserving the shapes the paper reports;
 // the full profile runs at paper-like fidelity and takes minutes.
 //
-// The watchers experiment (northbound stream fan-out under restart) is
-// timing-sensitive, so `all` — the golden-checked suite — excludes it;
-// run it explicitly with -exp watchers. With -json FILE its result
-// record is also written as JSON (how BENCH_northbound.json is made).
-//
 // The mobility experiment (churn scenario: walking users, Poisson task
 // arrivals, wall toggles, governed re-plans) renders a deterministic
-// per-seed timeline, so `all` includes it; -json FILE additionally
-// records its churn benchmark (how BENCH_mobility.json is made).
+// per-seed timeline, so `all` includes it. Performance is not measured
+// here: BENCHMARK.json (`go run ./bench/loop`) is the bench record.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -35,9 +28,8 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: table1, fig2, fig4, fig5, fig6, chaos, restart, failover, mobility, watchers, or all")
+	exp := flag.String("exp", "all", "experiment to run: table1, fig2, fig4, fig5, fig6, chaos, restart, failover, mobility, or all")
 	profileName := flag.String("profile", "quick", "workload profile: quick or full")
-	jsonPath := flag.String("json", "", "also write the experiment's result record as JSON to FILE (mobility, watchers)")
 	flag.Parse()
 
 	var profile experiments.Profile
@@ -106,42 +98,12 @@ func main() {
 			if err != nil {
 				return "", err
 			}
-			if *jsonPath != "" {
-				data, err := json.MarshalIndent(r, "", "  ")
-				if err != nil {
-					return "", err
-				}
-				if err := os.WriteFile(*jsonPath, append(data, '\n'), 0o644); err != nil {
-					return "", err
-				}
-			}
-			if s := r.ShapeCheck(); s != "" {
-				return "", fmt.Errorf("shape check failed: %s", s)
-			}
-			return r.Render(), nil
-		},
-		"watchers": func() (string, error) {
-			r, err := experiments.RunWatchers(ctx, profile)
-			if err != nil {
-				return "", err
-			}
-			if *jsonPath != "" {
-				data, err := json.MarshalIndent(r, "", "  ")
-				if err != nil {
-					return "", err
-				}
-				if err := os.WriteFile(*jsonPath, append(data, '\n'), 0o644); err != nil {
-					return "", err
-				}
-			}
 			if s := r.ShapeCheck(); s != "" {
 				return "", fmt.Errorf("shape check failed: %s", s)
 			}
 			return r.Render(), nil
 		},
 	}
-	// watchers is deliberately absent: `all` feeds the golden check, and
-	// the fan-out benchmark's numbers vary run to run.
 	order := []string{"table1", "fig2", "fig4", "fig5", "fig6", "chaos", "restart", "failover", "mobility"}
 
 	var selected []string

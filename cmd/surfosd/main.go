@@ -12,10 +12,12 @@
 //	        [-admit-max N] [-tenant-quota NAME=MAX[:WEIGHT],...]
 //	        [-health-interval 2s] [-fault-seed N] [-fault-fail P] [-fault-stuck N] [-fault-latency D]
 //
-// The -listen port is dual-protocol: a first byte equal to the wire magic
-// selects a framed task-control session (what surfctl speaks); anything
-// else — including silence — gets the interactive text protocol below.
-// The dedicated -ctrl port keeps serving framed clients unchanged.
+// The -listen port is the one northbound: a first byte equal to the wire
+// magic selects a framed task-control session (what surfctl and
+// replication primaries speak); anything else — including silence — gets
+// the interactive text protocol below. Both are parsers over the same
+// ctrlproto.CtrlAgent verbs, and both share the connection cap, the drain
+// and the connection gauge.
 // With -metrics set, Prometheus text metrics (reconcile latency, journal
 // progress and lag, device health, admission rejections, event-bus
 // backpressure) are served at http://ADDR/metrics.
@@ -140,11 +142,11 @@ type daemonOptions struct {
 	replanStaleness time.Duration
 	// warmReplan seeds each re-plan from the previous committed plan.
 	warmReplan bool
-	// replicateTo lists follower control addresses to ship the WAL to
+	// replicateTo lists follower -listen addresses to ship the WAL to
 	// (comma-separated; empty disables replication).
 	replicateTo string
 	// follow runs the daemon as a warm standby: it receives replication
-	// on its -ctrl port, rejects mutations, and promotes on lease expiry.
+	// on its -listen port, rejects mutations, and promotes on lease expiry.
 	follow bool
 	// leaseTTL is the leadership lease duration (0 = default 3s).
 	leaseTTL time.Duration
@@ -163,7 +165,6 @@ type daemon struct {
 	apt    *surfos.Apartment
 	hw     *surfos.Hardware
 	orch   *surfos.Orchestrator
-	broker *surfos.Broker
 	agents []*ctrlproto.Agent
 	// southbound clients, keyed by device id
 	clients map[string]*ctrlproto.Client
@@ -390,9 +391,9 @@ func newDaemon(ctx context.Context, surfaceList string, opts daemonOptions) (*da
 	if err != nil {
 		return nil, err
 	}
-	d.broker = br
 
-	// Northbound binary control plane: the task API surfctl speaks.
+	// The northbound task API: surfctl's frames and the text protocol's
+	// mutating commands both land on this agent's verbs.
 	ctrl, err := ctrlproto.NewCtrlAgent(orch)
 	if err != nil {
 		return nil, err
@@ -652,7 +653,19 @@ func (d *daemon) close() {
 	}
 }
 
-// handle executes one northbound command and returns the reply text.
+// textErr renders a verb's error as a reply line. The standby rejection
+// keeps its operator hint; everything else is the error text.
+func textErr(err error) string {
+	if errors.Is(err, ctrlproto.ErrNotLeader) {
+		return "error: not the leader (standby); retry against the primary"
+	}
+	return "error: " + err.Error()
+}
+
+// handle executes one northbound text command and returns the reply text.
+// The mutating verbs (demand, end, idle, resume, move) are parse → the
+// control agent's method → reply: the standby gate, the orchestrator call
+// and the governed re-plan live there, once, for framed clients too.
 func (d *daemon) handle(line string) (string, bool) {
 	fields := strings.Fields(line)
 	if len(fields) == 0 {
@@ -731,32 +744,23 @@ func (d *daemon) handle(line string) (string, bool) {
 		return strings.TrimRight(b.String(), "\n"), true
 
 	case "demand":
-		// Same standby gate the framed plane applies: a follower or fenced
-		// ex-primary must not mutate state the real primary owns.
-		if d.standby.Load() {
-			return "error: not the leader (standby); retry against the primary", true
-		}
-		calls, tasks, err := d.broker.HandleDemand(d.ctx, rest)
+		calls, tasks, err := d.ctrl.Demand(rest)
 		if err != nil {
-			return "error: " + err.Error(), true
+			return textErr(err), true
 		}
 		var b strings.Builder
 		for _, c := range calls {
 			fmt.Fprintf(&b, "call: %s\n", c)
 		}
-		if err := d.orch.Reconcile(d.ctx); err != nil {
-			fmt.Fprintf(&b, "reconcile warning: %v\n", err)
-		}
 		// Link predictions become monitoring expectations via the task
 		// lifecycle bus (see RunTaskEvents in newDaemon) — no manual
 		// Expect calls here.
 		for _, t := range tasks {
-			got, _ := d.orch.Task(t.ID)
-			if got.Result != nil {
+			if t.Result != nil {
 				fmt.Fprintf(&b, "task %d %s: %s, %s=%.2f (share %.2f)\n",
-					got.ID, got.Kind, got.State, got.Result.MetricName, got.Result.Metric, got.Result.Share)
+					t.ID, t.Kind, t.State, t.Result.MetricName, t.Result.Metric, t.Result.Share)
 			} else {
-				fmt.Fprintf(&b, "task %d %s: %s\n", got.ID, got.Kind, got.State)
+				fmt.Fprintf(&b, "task %d %s: %s\n", t.ID, t.Kind, t.State)
 			}
 		}
 		return strings.TrimRight(b.String(), "\n"), true
@@ -825,33 +829,21 @@ func (d *daemon) handle(line string) (string, bool) {
 		return strings.TrimRight(b.String(), "\n"), true
 
 	case "end", "idle", "resume":
-		if d.standby.Load() {
-			return "error: not the leader (standby); retry against the primary", true
-		}
 		id, err := strconv.Atoi(rest)
 		if err != nil {
 			return "error: want a task id", true
 		}
-		switch cmd {
-		case "end":
-			err = d.orch.EndTask(id)
-		case "idle":
-			err = d.orch.SetIdle(id, true)
-		case "resume":
-			err = d.orch.SetIdle(id, false)
+		if cmd == "end" {
+			err = d.ctrl.EndTask(id)
+		} else {
+			err = d.ctrl.SetIdle(id, cmd == "idle")
 		}
 		if err != nil {
-			return "error: " + err.Error(), true
-		}
-		if err := d.orch.Reconcile(d.ctx); err != nil {
-			return "reconcile warning: " + err.Error(), true
+			return textErr(err), true
 		}
 		return "ok", true
 
 	case "move":
-		if d.standby.Load() {
-			return "error: not the leader (standby); retry against the primary", true
-		}
 		f := strings.Fields(rest)
 		if len(f) != 4 {
 			return "error: want move <id> <x> <y> <z>", true
@@ -866,12 +858,9 @@ func (d *daemon) handle(line string) (string, bool) {
 				return "error: " + err.Error(), true
 			}
 		}
-		res, err := d.orch.MoveTask(id, surfos.V(pos[0], pos[1], pos[2]))
+		res, err := d.ctrl.MoveTask(id, surfos.V(pos[0], pos[1], pos[2]))
 		if err != nil {
-			return "error: " + err.Error(), true
-		}
-		if err := d.replanTask(d.ctx, id); err != nil {
-			return "reconcile warning: " + err.Error(), true
+			return textErr(err), true
 		}
 		if res.HandedOff {
 			return fmt.Sprintf("ok (handoff domain %d -> %d)", res.From, res.To), true
@@ -1036,7 +1025,7 @@ func (d *daemon) drainConns(timeout time.Duration) {
 // returns through normal error handling, so the deferred close releases
 // agents, listeners and the journal even on a late listen error — the
 // log.Fatalf in main fires only after cleanup has run.
-func run(listen, ctrlAddr, metricsAddr, surfaceList, stateDir string, drainTimeout time.Duration, opts daemonOptions) error {
+func run(listen, metricsAddr, surfaceList, stateDir string, drainTimeout time.Duration, opts daemonOptions) error {
 	// Lifetime context: canceled last, after the drain, so an in-flight
 	// reconcile finishes rather than aborting mid-commit.
 	ctx, cancel := context.WithCancel(context.Background())
@@ -1061,8 +1050,8 @@ func run(listen, ctrlAddr, metricsAddr, surfaceList, stateDir string, drainTimeo
 		return errors.New("-follow and -replicate-to are mutually exclusive")
 	}
 	// The lease holder identity travels in heartbeats and the journaled
-	// epoch record; the control address is the most useful name for it.
-	d.holder = ctrlAddr
+	// epoch record; the northbound address is the most useful name for it.
+	d.holder = listen
 	d.replicating = opts.replicateTo != ""
 
 	if stateDir != "" {
@@ -1073,14 +1062,6 @@ func run(listen, ctrlAddr, metricsAddr, surfaceList, stateDir string, drainTimeo
 		} else if err := d.openState(stateDir); err != nil {
 			return err
 		}
-	}
-
-	if ctrlAddr != "" {
-		addr, err := d.ctrl.Listen(ctrlAddr)
-		if err != nil {
-			return fmt.Errorf("ctrl: %w", err)
-		}
-		log.Printf("task control listening on %s", addr)
 	}
 
 	if opts.replicateTo != "" {
@@ -1122,20 +1103,21 @@ func run(listen, ctrlAddr, metricsAddr, surfaceList, stateDir string, drainTimeo
 		// Listener died without a signal — shut down the same way.
 		log.Printf("northbound listener closed: shutting down")
 	}
-	// Graceful shutdown: stop accepting, drain in-flight sessions (they
-	// may still reconcile under the live ctx), then drop task-control
-	// watchers, journal the tail, and only then cancel the lifetime ctx.
+	// Graceful shutdown: stop accepting, drop the framed sessions (a watch
+	// stream is idle by design and would otherwise hold the drain for its
+	// whole timeout; a request already executing still finishes under the
+	// live ctx, it only loses its reply), drain the text sessions, journal
+	// the tail, and only then cancel the lifetime ctx.
 	ln.Close()
 	<-acceptDone
-	d.drainConns(drainTimeout)
 	d.ctrl.Close()
+	d.drainConns(drainTimeout)
 	d.closeState() // final snapshot + fsync while ctx is still live
 	return nil
 }
 
 func main() {
-	listen := flag.String("listen", "127.0.0.1:7090", "northbound listen address")
-	ctrlAddr := flag.String("ctrl", "127.0.0.1:7091", "binary task-control listen address (surfctl; empty disables)")
+	listen := flag.String("listen", "127.0.0.1:7090", "northbound listen address (text operators, surfctl and replication primaries)")
 	metricsAddr := flag.String("metrics", "", "Prometheus metrics listen address (serves /metrics; empty disables)")
 	surfaceList := flag.String("surfaces",
 		"NR-Surface@east_wall,NR-Surface@north_wall",
@@ -1155,8 +1137,8 @@ func main() {
 	replanRefill := flag.Duration("replan-refill", 0, "replan governor token refill interval (0 = default 500ms)")
 	replanStaleness := flag.Duration("replan-staleness", 0, "bound on how long a dirty domain may serve a stale plan (0 = default 2s)")
 	warmReplan := flag.Bool("warm-replan", false, "seed re-plans from the previous committed plan (faster convergence under churn)")
-	replicateTo := flag.String("replicate-to", "", "comma-separated follower ctrl addresses to ship the journal to (empty disables)")
-	follow := flag.Bool("follow", false, "run as a warm standby: replay replication on -ctrl, promote on lease expiry")
+	replicateTo := flag.String("replicate-to", "", "comma-separated follower -listen addresses to ship the journal to (empty disables)")
+	follow := flag.Bool("follow", false, "run as a warm standby: replay replication received on -listen, promote on lease expiry")
 	leaseTTL := flag.Duration("lease-ttl", defaultLeaseTTL, "leadership lease duration (standby promotes this long after the last heartbeat)")
 	flag.Parse()
 
@@ -1164,7 +1146,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("surfosd: -tenant-quota: %v", err)
 	}
-	if err := run(*listen, *ctrlAddr, *metricsAddr, *surfaceList, *stateDir, *drainTimeout, daemonOptions{
+	if err := run(*listen, *metricsAddr, *surfaceList, *stateDir, *drainTimeout, daemonOptions{
 		faultSeed:       *faultSeed,
 		faultProb:       *faultProb,
 		faultStuck:      *faultStuck,

@@ -3,7 +3,10 @@ package main
 import (
 	"bufio"
 	"context"
+	"errors"
+	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +14,7 @@ import (
 	"surfos"
 	"surfos/internal/ctrlproto"
 	"surfos/internal/metrics"
+	"surfos/internal/telemetry"
 )
 
 func testDaemon(t *testing.T) *daemon {
@@ -181,6 +185,93 @@ func TestDaemonNorthboundFramedClient(t *testing.T) {
 	}
 	if err := s.Close(ctx); err != nil {
 		t.Fatalf("close stream: %v", err)
+	}
+}
+
+// TestTextAndFramedNorthboundAgree runs one script — demand, idle, resume,
+// move, end — against a fresh daemon through each protocol and requires
+// the same task table after every step, the same lifecycle-event sequence,
+// and the same standby rejection of every step: both protocols are parsers
+// over the same CtrlAgent verbs.
+func TestTextAndFramedNorthboundAgree(t *testing.T) {
+	const demand = "please stream a movie on the tv tonight"
+	script := []struct {
+		text   string
+		framed func(context.Context, *ctrlproto.Client) error
+	}{
+		{"demand " + demand, func(ctx context.Context, c *ctrlproto.Client) error {
+			_, err := c.Demand(ctx, demand)
+			return err
+		}},
+		{"idle 1", func(ctx context.Context, c *ctrlproto.Client) error { return c.SetTaskIdle(ctx, 1, true) }},
+		{"resume 1", func(ctx context.Context, c *ctrlproto.Client) error { return c.SetTaskIdle(ctx, 1, false) }},
+		{"move 1 1.8 6.2 1.5", func(ctx context.Context, c *ctrlproto.Client) error { return c.MoveTask(ctx, 1, 1.8, 6.2, 1.5) }},
+		{"end 1", func(ctx context.Context, c *ctrlproto.Client) error { return c.EndTask(ctx, 1) }},
+	}
+
+	// trace returns the task table after each step and the events the
+	// whole script published.
+	trace := func(framed bool) (tables, events []string) {
+		d := testDaemon(t)
+		// Default policy: delivery is synchronous with Publish, so the
+		// channel holds the script's events the moment a step returns.
+		evCh, unsub := d.events.SubscribeOpts(telemetry.SubOptions[telemetry.TaskEvent]{Name: "parity", Buffer: 256})
+		defer unsub()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		client, server := net.Pipe()
+		go d.serveConn(server)
+		c := ctrlproto.NewClient(client)
+		defer c.Close()
+
+		// step runs one script line and reports whether it was rejected
+		// by the standby gate (any other failure is fatal).
+		step := func(i int) (notLeader bool) {
+			if framed {
+				err := script[i].framed(ctx, c)
+				if err != nil && !errors.Is(err, ctrlproto.ErrNotLeader) {
+					t.Fatalf("framed %q: %v", script[i].text, err)
+				}
+				return err != nil
+			}
+			reply, _ := d.handle(script[i].text)
+			if reply == "error: not the leader (standby); retry against the primary" {
+				return true
+			}
+			if strings.HasPrefix(reply, "error") {
+				t.Fatalf("text %q: %s", script[i].text, reply)
+			}
+			return false
+		}
+		for i := range script {
+			if step(i) {
+				t.Fatalf("%q rejected by a leader (framed=%v)", script[i].text, framed)
+			}
+			table, _ := d.handle("tasks")
+			tables = append(tables, table)
+		}
+		d.standby.Store(true)
+		for i := range script {
+			if !step(i) {
+				t.Errorf("standby accepted %q (framed=%v)", script[i].text, framed)
+			}
+		}
+		for len(evCh) > 0 {
+			ev := <-evCh
+			events = append(events, fmt.Sprintf("task %d %s %s %s %s=%.2f", ev.TaskID, ev.Kind, ev.State, ev.Strategy, ev.MetricName, ev.Metric))
+		}
+		return tables, events
+	}
+
+	textTables, textEvents := trace(false)
+	framedTables, framedEvents := trace(true)
+	for i := range script {
+		if textTables[i] != framedTables[i] {
+			t.Errorf("task table after %q differs:\ntext:   %s\nframed: %s", script[i].text, textTables[i], framedTables[i])
+		}
+	}
+	if len(textEvents) == 0 || !slices.Equal(textEvents, framedEvents) {
+		t.Errorf("lifecycle events differ:\ntext:   %q\nframed: %q", textEvents, framedEvents)
 	}
 }
 

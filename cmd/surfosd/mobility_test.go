@@ -57,6 +57,36 @@ func TestDaemonMoveCommand(t *testing.T) {
 	}
 }
 
+// TestDaemonTextVerbsAreGoverned: with -replan-burst on, the text
+// protocol's end/idle/resume mark the task's domain and go through the
+// governor exactly like the framed verbs — they are the same CtrlAgent
+// methods — instead of re-planning every domain behind its back.
+func TestDaemonTextVerbsAreGoverned(t *testing.T) {
+	d := governedDaemon(t)
+	if reply, _ := d.handle("demand please stream a movie on the tv tonight"); !strings.Contains(reply, "running") {
+		t.Fatalf("demand: %q", reply)
+	}
+	// Every governed mutation either re-plans (Replans), coalesces into a
+	// pending re-plan (Suppressed) or leaves its domain dirty for the next
+	// token; the poll ticker only ever moves a count from Dirty to Replans.
+	seen := func() uint64 {
+		s := d.gov.Stats()
+		return s.Replans + s.Suppressed + uint64(s.Dirty)
+	}
+	for _, line := range []string{"idle 1", "resume 1", "end 1"} {
+		before := seen()
+		if reply, _ := d.handle(line); reply != "ok" {
+			t.Fatalf("%s: %q", line, reply)
+		}
+		if seen() <= before {
+			t.Errorf("%q bypassed the governor: stats %+v", line, d.gov.Stats())
+		}
+	}
+	if s := d.gov.Stats(); s.Replans < 2 {
+		t.Errorf("burst of 2 should have re-planned idle and resume inline: %+v", s)
+	}
+}
+
 // TestDaemonGovernorMetrics checks the -replan-* counters reach the
 // metrics registry alongside the rest of the control plane.
 func TestDaemonGovernorMetrics(t *testing.T) {

@@ -3,8 +3,8 @@
 // channel, heartbeats a lease, and a follower promotes itself — re-using
 // boot recovery's exact re-admission path — when the lease expires.
 //
-//	primary:  surfosd -state-dir p/ -replicate-to 127.0.0.1:7201 -lease-ttl 3s
-//	standby:  surfosd -state-dir s/ -follow -ctrl 127.0.0.1:7201 -lease-ttl 3s
+//	primary:  surfosd -state-dir p/ -listen 127.0.0.1:7101 -replicate-to 127.0.0.1:7201 -lease-ttl 3s
+//	standby:  surfosd -state-dir s/ -listen 127.0.0.1:7201 -follow -lease-ttl 3s
 //
 // Epoch fencing: the primary takes leadership by journaling a KindEpoch
 // record; every shipped batch and heartbeat carries that epoch. A

@@ -10,6 +10,20 @@ import (
 	"time"
 )
 
+// serveNorthbound puts d behind a real -listen socket — accept loop,
+// protocol sniff and connection cap included, as run does — and returns
+// its address.
+func serveNorthbound(t *testing.T, d *daemon) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go d.acceptLoop(ln)
+	return ln.Addr().String()
+}
+
 // replTestDaemon is testDaemon with a caller-owned context, so a test can
 // hard-kill one daemon of a replicated pair (stopping its shippers and
 // heartbeats mid-lease) while the other keeps running.
@@ -48,17 +62,14 @@ func TestDaemonFailoverPromotesStandby(t *testing.T) {
 	d1.holder = "primary"
 	d1.replicating = true
 
-	// Standby: warm replica receiving on its own ctrl port. Start shipping
-	// right away so the armed boot lease sees heartbeats before it lapses.
+	// Standby: warm replica receiving on its northbound port. Start
+	// shipping right away so the armed boot lease sees heartbeats before
+	// it lapses.
 	d2 := replTestDaemon(t, context.Background())
 	if err := d2.openFollower(sdir, ttl); err != nil {
 		t.Fatal(err)
 	}
-	addr, err := d2.ctrl.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d1.startReplication([]string{addr.String()}, ttl); err != nil {
+	if err := d1.startReplication([]string{serveNorthbound(t, d2)}, ttl); err != nil {
 		t.Fatal(err)
 	}
 
@@ -196,11 +207,7 @@ func TestPrimaryLeaseLossStepsDownAndResumes(t *testing.T) {
 	if err := d2.openFollower(sdir, time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	addr, err := d2.ctrl.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	proxy := newReplProxy(t, addr.String())
+	proxy := newReplProxy(t, serveNorthbound(t, d2))
 	if err := d1.startReplication([]string{proxy.ln.Addr().String()}, ttl); err != nil {
 		t.Fatal(err)
 	}

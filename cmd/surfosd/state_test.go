@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"surfos"
+	"surfos/internal/ctrlproto"
 )
 
 // stateDaemon builds a daemon attached to a state directory.
@@ -204,16 +205,36 @@ func TestDrainForceClosesStragglers(t *testing.T) {
 }
 
 // TestRunGracefulShutdown drives the whole lifecycle: boot with a state
-// dir, SIGTERM, and a clean exit that leaves a final snapshot behind.
+// dir, attach a watcher, SIGTERM, and a clean exit that leaves a final
+// snapshot behind. The watcher is a framed session on -listen, idle by
+// design; shutdown must drop it rather than wait out -drain-timeout.
 func TestRunGracefulShutdown(t *testing.T) {
 	dir := t.TempDir()
+	// run logs the port it bound but does not return it; reserve one.
+	probe, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := probe.Addr().String()
+	probe.Close()
+
+	const drain = 5 * time.Second
 	done := make(chan error, 1)
 	go func() {
-		done <- run("127.0.0.1:0", "", "", "NR-Surface@east_wall", dir, 500*time.Millisecond, daemonOptions{})
+		done <- run(addr, "", "NR-Surface@east_wall", dir, drain, daemonOptions{})
 	}()
-	// Give the daemon a moment to boot; the signal is handled either way —
-	// before the accept loop it short-circuits straight into shutdown.
-	time.Sleep(300 * time.Millisecond)
+	var c *ctrlproto.Client
+	waitFor(t, func() bool {
+		c, err = ctrlproto.Dial(addr)
+		return err == nil
+	})
+	defer c.Close()
+	watch, err := c.OpenStream(context.Background(), ctrlproto.StreamTasks, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	start := time.Now()
 	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
@@ -225,6 +246,17 @@ func TestRunGracefulShutdown(t *testing.T) {
 	case <-time.After(15 * time.Second):
 		t.Fatal("daemon did not shut down on SIGTERM")
 	}
+	if took := time.Since(start); took > drain/2 {
+		t.Errorf("shutdown took %s with one idle watcher attached; the drain timeout is %s", took, drain)
+	}
+	select {
+	case _, ok := <-watch.C:
+		if ok {
+			t.Error("watch stream delivered an event instead of closing")
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("watch stream still open after shutdown")
+	}
 	if _, err := os.Stat(filepath.Join(dir, "snapshot.json")); err != nil {
 		t.Errorf("no final snapshot after graceful shutdown: %v", err)
 	}
@@ -234,11 +266,7 @@ func TestRunGracefulShutdown(t *testing.T) {
 // run's normal error path (so deferred cleanup executes), not kill the
 // process before the daemon is released.
 func TestRunReportsListenErrors(t *testing.T) {
-	if err := run("500.0.0.1:0", "", "", "NR-Surface@east_wall", "", time.Second, daemonOptions{}); err == nil {
+	if err := run("500.0.0.1:0", "", "NR-Surface@east_wall", "", time.Second, daemonOptions{}); err == nil {
 		t.Error("bad northbound listen address accepted")
 	}
-	if err := run("127.0.0.1:0", "500.0.0.1:0", "", "NR-Surface@east_wall", "", time.Second, daemonOptions{}); err == nil {
-		t.Error("bad ctrl listen address accepted")
-	}
-	_ = context.Background()
 }

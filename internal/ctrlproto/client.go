@@ -49,10 +49,6 @@ type Client struct {
 	// overflow drops. Closed when the connection is lost, so range-style
 	// consumers observe the disconnect.
 	Feedback chan FeedbackMsg
-	// TaskEvents receives task lifecycle pushes after WatchTasks.
-	// Buffered; overflow drops. Closed when the connection is lost — a
-	// `tasks --watch` consumer uses the close to trigger its reconnect.
-	TaskEvents chan TaskEventMsg
 	// Timeout bounds each request round trip (default 5s).
 	Timeout time.Duration
 	// Retry configures timeout retries for mutating requests (zero value =
@@ -76,13 +72,12 @@ func Dial(addr string) (*Client, error) {
 // NewClient wraps an established connection (e.g. one side of net.Pipe).
 func NewClient(conn net.Conn) *Client {
 	c := &Client{
-		conn:       conn,
-		nextID:     1,
-		pending:    make(map[uint32]chan Frame),
-		Feedback:   make(chan FeedbackMsg, 64),
-		TaskEvents: make(chan TaskEventMsg, 64),
-		Timeout:    5 * time.Second,
-		jitter:     rand.New(rand.NewSource(rand.Int63())),
+		conn:     conn,
+		nextID:   1,
+		pending:  make(map[uint32]chan Frame),
+		Feedback: make(chan FeedbackMsg, 64),
+		Timeout:  5 * time.Second,
+		jitter:   rand.New(rand.NewSource(rand.Int63())),
 		// Request IDs must not collide across client sessions sharing an
 		// agent: start from a random 32-bit prefix and count up.
 		nextReq: uint64(rand.Uint32()) << 32,
@@ -202,7 +197,6 @@ func (c *Client) readLoop() {
 			c.mu.Unlock()
 			c.conn.Close()
 			close(c.Feedback)
-			close(c.TaskEvents)
 			return
 		}
 		if f.Corr == 0 && f.Type == MsgFeedback {
@@ -210,15 +204,6 @@ func (c *Client) readLoop() {
 				select {
 				case c.Feedback <- m:
 				default: // drop stale feedback
-				}
-			}
-			continue
-		}
-		if f.Corr == 0 && f.Type == MsgTaskEvent {
-			if m, err := DecodeTaskEventMsg(f.Payload); err == nil {
-				select {
-				case c.TaskEvents <- m:
-				default: // drop: the task table remains authoritative
 				}
 			}
 			continue
@@ -455,13 +440,6 @@ func (c *Client) SubmitTask(ctx context.Context, m SubmitMsg) (TaskInfo, error) 
 	}
 	r, err := DecodeTaskReply(f.Payload)
 	return r.Task, err
-}
-
-// WatchTasks subscribes this connection to the task lifecycle stream;
-// events arrive on c.TaskEvents.
-func (c *Client) WatchTasks(ctx context.Context) error {
-	_, err := c.roundTrip(ctx, MsgWatchTasks, nil)
-	return err
 }
 
 // Stream is one multiplexed event stream over a shared connection. Events

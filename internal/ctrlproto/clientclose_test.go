@@ -8,24 +8,34 @@ import (
 )
 
 // TestPushChannelsCloseOnDisconnect pins the disconnect contract watch
-// consumers rely on: when the peer goes away, the client's Feedback and
-// TaskEvents channels close (instead of silently going quiet forever),
-// and pending round trips fail fast.
+// consumers rely on: when the peer goes away, the client's Feedback
+// channel and every open stream's channel close (instead of silently
+// going quiet forever), and pending round trips fail fast.
 func TestPushChannelsCloseOnDisconnect(t *testing.T) {
 	cli, srv := net.Pipe()
 	c := NewClient(cli)
 	defer c.Close()
 
-	srv.Close() // daemon dies
+	// Ack the stream open by hand, then die.
+	go func() {
+		if f, err := ReadFrame(srv); err == nil {
+			_ = WriteFrame(srv, Frame{Type: MsgAck, Corr: f.Corr})
+		}
+		srv.Close() // daemon dies
+	}()
+	s, err := c.OpenStream(context.Background(), StreamTasks, "")
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	deadline := time.After(5 * time.Second)
 	select {
-	case _, ok := <-c.TaskEvents:
+	case _, ok := <-s.C:
 		if ok {
-			t.Error("TaskEvents delivered an event from a dead peer")
+			t.Error("stream delivered an event from a dead peer")
 		}
 	case <-deadline:
-		t.Fatal("TaskEvents not closed after disconnect")
+		t.Fatal("stream channel not closed after disconnect")
 	}
 	select {
 	case _, ok := <-c.Feedback:

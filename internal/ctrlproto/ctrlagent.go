@@ -25,7 +25,7 @@ type CtrlAgent struct {
 	Orch *orchestrator.Orchestrator
 	// Broker enables MsgDemand dispatch when set.
 	Broker *broker.Broker
-	// Events enables MsgWatchTasks streaming when set.
+	// Events enables MsgOpenStream watch streams when set.
 	Events *telemetry.EventBus
 	// Reconcile, when set, runs after every mutating request (submit,
 	// end, idle) so replies reflect post-scheduling task state. Errors
@@ -59,14 +59,12 @@ type CtrlAgent struct {
 	closed   bool
 }
 
-// connState tracks one controller connection's write lock, its legacy
-// correlation-0 watch subscription, and its multiplexed streams. The
-// write lock doubles as the guard for the subscription fields: handle()
-// runs on the single read goroutine, so contention is only with teardown
-// and in-flight event writes.
+// connState tracks one controller connection's write lock and its
+// multiplexed streams. The write lock doubles as the guard for the stream
+// table: handle() runs on the single read goroutine, so contention is only
+// with teardown and in-flight event writes.
 type connState struct {
 	w       sync.Mutex
-	unwatch func()
 	streams map[uint32]func() // stream ID -> subscription cancel
 }
 
@@ -135,18 +133,13 @@ func (a *CtrlAgent) Close() error {
 	return nil
 }
 
-// cancelSubscriptions tears down the connection's watch and every open
-// stream. Safe to call more than once.
+// cancelSubscriptions tears down every open stream. Safe to call more
+// than once.
 func (st *connState) cancelSubscriptions() {
 	st.w.Lock()
-	unwatch := st.unwatch
-	st.unwatch = nil
 	streams := st.streams
 	st.streams = nil
 	st.w.Unlock()
-	if unwatch != nil {
-		unwatch()
-	}
 	for _, cancel := range streams {
 		cancel()
 	}
@@ -245,7 +238,101 @@ func taskInfo(t *orchestrator.Task) TaskInfo {
 	return m
 }
 
-// handle dispatches one request frame and builds the reply.
+// The five mutating verbs. Each is the one implementation of its verb for
+// every northbound client — handle() decodes a frame onto it, surfosd's
+// text protocol parses a line onto it — and each has the same shape:
+// standby gate, orchestrator call, post-mutation re-plan hook, result. A
+// re-plan that fails after the mutation succeeded is logged through Logf,
+// not returned: the mutation stands and the task table stays authoritative.
+
+// leader is the standby gate of every mutating verb.
+func (a *CtrlAgent) leader() error {
+	if a.Standby != nil && a.Standby() {
+		return ErrNotLeader
+	}
+	return nil
+}
+
+// EndTask terminates a task and re-plans its interference domain.
+func (a *CtrlAgent) EndTask(id int) error {
+	if err := a.leader(); err != nil {
+		return err
+	}
+	if err := a.Orch.EndTask(id); err != nil {
+		return err
+	}
+	a.reconcileTask(id)
+	return nil
+}
+
+// SetIdle parks (idle=true) or resumes a task and re-plans its domain.
+func (a *CtrlAgent) SetIdle(id int, idle bool) error {
+	if err := a.leader(); err != nil {
+		return err
+	}
+	if err := a.Orch.SetIdle(id, idle); err != nil {
+		return err
+	}
+	a.reconcileTask(id)
+	return nil
+}
+
+// MoveTask re-targets a live task at pos, re-plans the domain it landed
+// in, and reports whether the move handed the task off between domains.
+func (a *CtrlAgent) MoveTask(id int, pos geom.Vec3) (orchestrator.MoveResult, error) {
+	if err := a.leader(); err != nil {
+		return orchestrator.MoveResult{}, err
+	}
+	res, err := a.Orch.MoveTask(id, pos)
+	if err != nil {
+		return res, err
+	}
+	a.reconcileTask(id)
+	return res, nil
+}
+
+// SubmitTask files a service goal and returns the task as it stands after
+// scheduling.
+func (a *CtrlAgent) SubmitTask(tenant string, kind orchestrator.ServiceKind, goal any, priority int) (*orchestrator.Task, error) {
+	if err := a.leader(); err != nil {
+		return nil, err
+	}
+	t, err := a.Orch.SubmitFor(a.ctx(), tenant, kind, goal, priority)
+	if err != nil {
+		return nil, err
+	}
+	a.reconcileTask(t.ID)
+	if cur, err := a.Orch.Task(t.ID); err == nil {
+		t = cur // reflect post-scheduling state
+	}
+	return t, nil
+}
+
+// Demand translates a natural-language demand through the broker, files
+// the services it names and returns the calls (for display) and the
+// tasks as they stand after scheduling.
+func (a *CtrlAgent) Demand(utterance string) ([]broker.Call, []*orchestrator.Task, error) {
+	if err := a.leader(); err != nil {
+		return nil, nil, err
+	}
+	if a.Broker == nil {
+		return nil, nil, errors.New("ctrlproto: no broker attached")
+	}
+	calls, tasks, err := a.Broker.HandleDemand(a.ctx(), utterance)
+	if err != nil {
+		return nil, nil, err
+	}
+	a.reconcile()
+	for i, t := range tasks {
+		if cur, err := a.Orch.Task(t.ID); err == nil {
+			tasks[i] = cur
+		}
+	}
+	return calls, tasks, nil
+}
+
+// handle dispatches one request frame and builds the reply: decode, the
+// verb's method, encode.
 func (a *CtrlAgent) handle(conn net.Conn, st *connState, f Frame) Frame {
 	fail := func(err error) Frame { return errorFrame(f.Corr, err) }
 	ack := Frame{Type: MsgAck, Corr: f.Corr}
@@ -256,15 +343,7 @@ func (a *CtrlAgent) handle(conn net.Conn, st *connState, f Frame) Frame {
 			return fail(errors.New("ctrlproto: replication not enabled"))
 		}
 		return a.Repl.Handle(f)
-	}
-	if a.Standby != nil && a.Standby() {
-		switch f.Type {
-		case MsgEndTask, MsgSetIdle, MsgSubmitTask, MsgDemand, MsgMoveTask:
-			return fail(ErrNotLeader)
-		}
-	}
 
-	switch f.Type {
 	case MsgListTasks:
 		var reply TasksReply
 		for _, t := range a.Orch.Tasks() {
@@ -272,26 +351,19 @@ func (a *CtrlAgent) handle(conn net.Conn, st *connState, f Frame) Frame {
 		}
 		return Frame{Type: MsgTasksReply, Corr: f.Corr, Payload: reply.Encode()}
 
-	case MsgEndTask:
+	case MsgEndTask, MsgSetIdle:
 		m, err := DecodeTaskIDMsg(f.Payload)
 		if err != nil {
 			return fail(err)
 		}
-		if err := a.Orch.EndTask(int(m.ID)); err != nil {
-			return fail(err)
+		if f.Type == MsgEndTask {
+			err = a.EndTask(int(m.ID))
+		} else {
+			err = a.SetIdle(int(m.ID), m.Idle)
 		}
-		a.reconcileTask(int(m.ID))
-		return ack
-
-	case MsgSetIdle:
-		m, err := DecodeTaskIDMsg(f.Payload)
 		if err != nil {
 			return fail(err)
 		}
-		if err := a.Orch.SetIdle(int(m.ID), m.Idle); err != nil {
-			return fail(err)
-		}
-		a.reconcileTask(int(m.ID))
 		return ack
 
 	case MsgMoveTask:
@@ -299,10 +371,9 @@ func (a *CtrlAgent) handle(conn net.Conn, st *connState, f Frame) Frame {
 		if err != nil {
 			return fail(err)
 		}
-		if _, err := a.Orch.MoveTask(int(m.ID), geom.V(m.Pos[0], m.Pos[1], m.Pos[2])); err != nil {
+		if _, err := a.MoveTask(int(m.ID), geom.V(m.Pos[0], m.Pos[1], m.Pos[2])); err != nil {
 			return fail(err)
 		}
-		a.reconcileTask(int(m.ID))
 		return ack
 
 	case MsgSubmitTask:
@@ -314,31 +385,11 @@ func (a *CtrlAgent) handle(conn net.Conn, st *connState, f Frame) Frame {
 		if err != nil {
 			return fail(err)
 		}
-		t, err := a.Orch.SubmitFor(a.ctx(), m.Tenant, kind, goal, int(m.Priority))
+		t, err := a.SubmitTask(m.Tenant, kind, goal, int(m.Priority))
 		if err != nil {
 			return fail(err)
 		}
-		a.reconcileTask(t.ID)
-		if cur, err := a.Orch.Task(t.ID); err == nil {
-			t = cur // reflect post-scheduling state
-		}
 		return Frame{Type: MsgTaskReply, Corr: f.Corr, Payload: TaskReply{Task: taskInfo(t)}.Encode()}
-
-	case MsgWatchTasks:
-		if a.Events == nil {
-			return fail(errors.New("ctrlproto: no event bus attached"))
-		}
-		st.w.Lock()
-		already := st.unwatch != nil
-		if !already {
-			ch, cancel := a.Events.SubscribeOpts(telemetry.SubOptions[telemetry.TaskEvent]{
-				Name: "watch-legacy", Buffer: 256, Policy: telemetry.DropOldest,
-			})
-			st.unwatch = cancel
-			go a.streamEvents(conn, st, 0, ch)
-		}
-		st.w.Unlock()
-		return ack
 
 	case MsgOpenStream:
 		if a.Events == nil {
@@ -393,31 +444,26 @@ func (a *CtrlAgent) handle(conn net.Conn, st *connState, f Frame) Frame {
 		return Frame{Type: MsgHealthReply, Corr: f.Corr, Payload: reply.Encode()}
 
 	case MsgDemand:
-		if a.Broker == nil {
-			return fail(errors.New("ctrlproto: no broker attached"))
-		}
 		m, err := DecodeDemandMsg(f.Payload)
 		if err != nil {
 			return fail(err)
 		}
-		calls, tasks, err := a.Broker.HandleDemand(a.ctx(), m.Utterance)
+		calls, tasks, err := a.Demand(m.Utterance)
 		if err != nil {
 			return fail(err)
 		}
-		a.reconcile()
 		var reply DemandReply
 		for _, c := range calls {
 			reply.Calls = append(reply.Calls, c.String())
 		}
 		for _, t := range tasks {
-			if cur, err := a.Orch.Task(t.ID); err == nil {
-				t = cur
-			}
 			reply.Tasks = append(reply.Tasks, taskInfo(t))
 		}
 		return Frame{Type: MsgDemandReply, Corr: f.Corr, Payload: reply.Encode()}
 
 	default:
+		// The reserved MsgWatchTasks lands here: a tasks stream with an
+		// empty filter (MsgOpenStream) is the whole-table watch.
 		return fail(fmt.Errorf("ctrlproto: ctrl agent cannot handle %v", f.Type))
 	}
 }
@@ -469,10 +515,9 @@ func eventMsg(ev telemetry.TaskEvent) TaskEventMsg {
 	}
 }
 
-// streamEvents forwards bus events to one watcher — as correlation-0
-// pushes for the legacy whole-table watch (stream 0), or tagged with the
-// stream ID for a multiplexed stream — until the subscription is
-// cancelled (stream close or connection teardown).
+// streamEvents forwards bus events to one watcher, tagged with the stream
+// ID in the correlation field, until the subscription is cancelled (stream
+// close or connection teardown).
 func (a *CtrlAgent) streamEvents(conn net.Conn, st *connState, stream uint32, ch <-chan telemetry.TaskEvent) {
 	for ev := range ch {
 		m := eventMsg(ev)

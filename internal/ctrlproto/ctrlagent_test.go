@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -174,7 +175,8 @@ func TestWatchTasksStreamsEvents(t *testing.T) {
 	ctx := context.Background()
 	r.client.Timeout = 30 * time.Second
 
-	if err := r.client.WatchTasks(ctx); err != nil {
+	watch, err := r.client.OpenStream(ctx, StreamTasks, "")
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.client.SubmitTask(ctx, SubmitMsg{
@@ -200,7 +202,7 @@ func TestWatchTasksStreamsEvents(t *testing.T) {
 			break
 		}
 		select {
-		case ev := <-r.client.TaskEvents:
+		case ev := <-watch.C:
 			if _, ok := want[ev.State]; ok {
 				want[ev.State] = true
 			}
@@ -258,7 +260,8 @@ func TestHealthQueryOverWire(t *testing.T) {
 
 func TestDeviceEventsReachWatchers(t *testing.T) {
 	r := newCtrlRig(t)
-	if err := r.client.WatchTasks(context.Background()); err != nil {
+	watch, err := r.client.OpenStream(context.Background(), StreamTasks, "")
+	if err != nil {
 		t.Fatal(err)
 	}
 	r.orch.HW.SetEventBus(r.events)
@@ -269,11 +272,28 @@ func TestDeviceEventsReachWatchers(t *testing.T) {
 	r.orch.HW.ProbeAll()
 
 	select {
-	case ev := <-r.client.TaskEvents:
+	case ev := <-watch.C:
 		if ev.State != telemetry.DeviceDead || ev.DeviceID != "s0" {
 			t.Fatalf("event = %+v, want device_dead for s0", ev)
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("no device event reached the watcher")
+	}
+}
+
+// TestRetiredWatchTasksGetsErrorFrame: message type 20 stays a reserved
+// number, but nothing serves the whole-table watch any more. A client
+// that still sends it gets the agent's "cannot handle" error and keeps a
+// usable connection.
+func TestRetiredWatchTasksGetsErrorFrame(t *testing.T) {
+	r := newCtrlRig(t)
+	ctx := context.Background()
+	_, err := r.client.roundTrip(ctx, MsgWatchTasks, nil)
+	var we *WireError
+	if !errors.As(err, &we) || !strings.Contains(we.Text, "cannot handle watch-tasks") {
+		t.Fatalf("MsgWatchTasks reply = %v, want a cannot-handle error frame", err)
+	}
+	if _, err := r.client.ListTasks(ctx); err != nil {
+		t.Fatalf("connection unusable after the rejected watch: %v", err)
 	}
 }

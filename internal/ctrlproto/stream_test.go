@@ -142,3 +142,82 @@ func TestStreamsCloseOnDisconnect(t *testing.T) {
 		t.Fatal("stream channel not closed on disconnect")
 	}
 }
+
+// TestStreamsDeliverExactlyAcrossAgentRestart: every one of conns x
+// streams watchers receives exactly the burst, in order; the agent is
+// closed and a new one listens on the same address, every stream is
+// reopened, and a second burst is again delivered exactly — with nothing
+// shed by the bus, whose per-stream rings (256) exceed the burst.
+func TestStreamsDeliverExactlyAcrossAgentRestart(t *testing.T) {
+	const conns, streamsPerConn, burst = 4, 8, 20
+	r := newCtrlRig(t)
+	ctx := context.Background()
+
+	listen := func(addr string) (*CtrlAgent, string) {
+		a, err := NewCtrlAgent(r.orch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.Events = r.events
+		got, err := a.Listen(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { a.Close() })
+		return a, got.String()
+	}
+	// epoch opens the whole fleet against addr, publishes one burst and
+	// checks each stream's delivery; it returns the clients still open.
+	epoch := func(addr string, phase int) []*Client {
+		var clients []*Client
+		var streams []*Stream
+		for i := 0; i < conns; i++ {
+			c, err := Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { c.Close() })
+			clients = append(clients, c)
+			for j := 0; j < streamsPerConn; j++ {
+				s, err := c.OpenStream(ctx, StreamTasks, "")
+				if err != nil {
+					t.Fatalf("phase %d conn %d stream %d: %v", phase, i, j, err)
+				}
+				streams = append(streams, s)
+			}
+		}
+		for i := 0; i < burst; i++ {
+			r.events.Publish(telemetry.TaskEvent{TaskID: phase*1000 + i, Kind: "link", State: telemetry.TaskRunning, Tenant: "default"})
+		}
+		for _, s := range streams {
+			for i := 0; i < burst; i++ {
+				if ev := recvStream(t, s); int(ev.TaskID) != phase*1000+i {
+					t.Fatalf("phase %d stream %d: event %d is task %d, want %d", phase, s.ID, i, ev.TaskID, phase*1000+i)
+				}
+			}
+		}
+		return clients
+	}
+
+	agent, addr := listen("127.0.0.1:0")
+	clients := epoch(addr, 1)
+
+	// Hard restart: the agent goes away and every stream closes with it.
+	agent.Close()
+	for _, c := range clients {
+		select {
+		case <-c.Feedback: // closed by the read loop on disconnect
+		case <-time.After(5 * time.Second):
+			t.Fatal("client did not observe the agent restart")
+		}
+	}
+	_, addr2 := listen(addr)
+	if addr2 != addr {
+		t.Fatalf("re-listened on %s, want %s", addr2, addr)
+	}
+	epoch(addr, 2)
+
+	if n := r.events.Dropped(); n != 0 {
+		t.Fatalf("bus shed %d event(s) though every ring exceeds the burst", n)
+	}
+}

@@ -4,8 +4,8 @@ package ctrlproto
 // event streams over one connection, each identified by a client-chosen
 // 32-bit stream ID drawn from the same space as request correlation IDs.
 // Events for a stream are pushed as MsgTaskEvent frames whose Corr field
-// carries the stream ID, so one connection interleaves RPC replies,
-// legacy correlation-0 watch pushes, and any number of scoped streams.
+// carries the stream ID, so one connection interleaves RPC replies and any
+// number of scoped streams.
 //
 // Each open stream is its own bus subscriber with a kind-appropriate
 // backpressure policy: task streams ride a drop-oldest ring (a lagging

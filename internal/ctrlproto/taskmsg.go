@@ -14,7 +14,7 @@ const (
 	MsgSetIdle
 	MsgSubmitTask
 	MsgTaskReply
-	MsgWatchTasks
+	MsgWatchTasks // reserved: the retired whole-table watch; agents answer it with an error
 	MsgTaskEvent
 	MsgDemand
 	MsgDemandReply
@@ -207,7 +207,8 @@ func DecodeSubmitMsg(b []byte) (SubmitMsg, error) {
 	return m, d.finish()
 }
 
-// TaskEventMsg streams one lifecycle transition (correlation 0 push).
+// TaskEventMsg streams one lifecycle transition (pushed on a stream; the
+// frame's correlation field carries the stream ID).
 type TaskEventMsg struct {
 	UnixNanos  int64
 	TaskID     uint32

@@ -253,20 +253,3 @@ func TestFailoverShape(t *testing.T) {
 		t.Errorf("render leaks a path:\n%s", out)
 	}
 }
-
-func TestWatchersShape(t *testing.T) {
-	r, err := RunWatchers(context.Background(), Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := r.ShapeCheck(); s != "" {
-		t.Errorf("watchers shape: %s", s)
-	}
-	if r.Streams != r.Conns*r.StreamsPerConn {
-		t.Errorf("stream accounting: %d != %d*%d", r.Streams, r.Conns, r.StreamsPerConn)
-	}
-	out := r.Render()
-	if !strings.Contains(out, "multiplexed streams") || !strings.Contains(out, "shape check:") {
-		t.Errorf("render incomplete:\n%s", out)
-	}
-}

@@ -42,46 +42,39 @@ const (
 // traces instead of evicting them (per-region invalidation); and the
 // walker crosses shards through an explicit handoff with zero task loss.
 type MobilityResult struct {
-	Profile Profile `json:"-"`
-	Seed    int64   `json:"seed"`
-	// ProfileName is the profile as text for the JSON record.
-	ProfileName string `json:"profile"`
+	Profile Profile
+	Seed    int64
 	// Timeline is the executed event log on the virtual clock.
-	Timeline []string `json:"timeline"`
+	Timeline []string
 	// Workload counts.
-	Arrivals   int `json:"arrivals"`
-	Departures int `json:"departures"`
-	Walks      int `json:"walks"`
-	Toggles    int `json:"wall_toggles"`
+	Arrivals   int
+	Departures int
+	Walks      int
+	Toggles    int
 	// Handoffs is how many walks crossed an interference-domain boundary.
-	Handoffs int `json:"handoffs"`
+	Handoffs int
 	// Governor counters: re-plans run, churn events coalesced into a
 	// pending re-plan, re-plans forced by the staleness deadline.
-	Replans    uint64 `json:"replans"`
-	Suppressed uint64 `json:"replans_suppressed"`
-	Forced     uint64 `json:"replans_forced"`
+	Replans    uint64
+	Suppressed uint64
+	Forced     uint64
 	// MaxStalenessMillis is the worst observed dirty-to-replan latency
 	// (virtual); StalenessBoundMillis the configured deadline.
-	MaxStalenessMillis   float64 `json:"max_staleness_ms"`
-	StalenessBoundMillis float64 `json:"staleness_bound_ms"`
+	MaxStalenessMillis   float64
+	StalenessBoundMillis float64
 	// TxMisses/TxCarried are the channel engine's trace re-builds vs.
 	// traces carried across scene revisions without re-tracing.
-	TxMisses  uint64 `json:"tx_misses"`
-	TxCarried uint64 `json:"tx_carried"`
+	TxMisses  uint64
+	TxCarried uint64
 	// AnchorMigrations counts migrations of the anchor tasks in the rooms
 	// the churn never touched (must be 0); FailedTasks counts task
 	// failures anywhere (must be 0).
-	AnchorMigrations int `json:"anchor_migrations"`
-	FailedTasks      int `json:"failed_tasks"`
+	AnchorMigrations int
+	FailedTasks      int
 	// RunningAtEnd/DoneAtEnd partition the submitted tasks after the
 	// final flush.
-	RunningAtEnd int `json:"running_at_end"`
-	DoneAtEnd    int `json:"done_at_end"`
-	// WallMillis is the real time the scenario took; ReplanMeanMillis the
-	// mean wall cost per governor re-plan. Benchmark fields: they vary run
-	// to run and are excluded from the rendered (golden) output.
-	WallMillis       float64 `json:"wall_ms"`
-	ReplanMeanMillis float64 `json:"replan_mean_ms"`
+	RunningAtEnd int
+	DoneAtEnd    int
 }
 
 // mobilityParams scales the experiment.
@@ -164,7 +157,7 @@ func RunMobility(ctx context.Context, p Profile, seed int64) (*MobilityResult, e
 	drv := scenario.NewDriver(sc, orch, gov)
 
 	out := &MobilityResult{
-		Profile: p, ProfileName: p.String(), Seed: seed,
+		Profile: p, Seed: seed,
 		StalenessBoundMillis: float64(mobilityStaleness / time.Millisecond),
 	}
 
@@ -222,11 +215,9 @@ func RunMobility(ctx context.Context, p Profile, seed int64) (*MobilityResult, e
 	// Epilogue: flush every pending re-plan so the final table is settled.
 	drv.Flush(4200 * time.Millisecond)
 
-	start := time.Now()
 	if err := sc.Run(ctx); err != nil {
 		return nil, err
 	}
-	out.WallMillis = float64(time.Since(start)) / float64(time.Millisecond)
 
 	for _, rec := range sc.Timeline() {
 		out.Timeline = append(out.Timeline, rec.String())
@@ -235,9 +226,6 @@ func RunMobility(ctx context.Context, p Profile, seed int64) (*MobilityResult, e
 	st := gov.Stats()
 	out.Replans, out.Suppressed, out.Forced = st.Replans, st.Suppressed, st.Forced
 	out.MaxStalenessMillis = float64(st.MaxStaleness) / float64(time.Millisecond)
-	if st.Replans > 0 {
-		out.ReplanMeanMillis = out.WallMillis / float64(st.Replans)
-	}
 	cs := eng.CacheStats()
 	out.TxMisses, out.TxCarried = cs.TxMisses, cs.TxCarried
 

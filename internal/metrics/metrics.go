@@ -159,32 +159,6 @@ func (h *Histogram) Count() uint64 {
 	return h.samples
 }
 
-// Quantile returns an upper-bound estimate of the q-quantile (0..1): the
-// smallest bucket bound whose cumulative count covers q. Observations
-// beyond the last bound report +Inf.
-func (h *Histogram) Quantile(q float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.samples == 0 {
-		return 0
-	}
-	rank := uint64(math.Ceil(q * float64(h.samples)))
-	if rank == 0 {
-		rank = 1
-	}
-	var cum uint64
-	for i, n := range h.counts {
-		cum += n
-		if cum >= rank {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			return math.Inf(1)
-		}
-	}
-	return math.Inf(1)
-}
-
 // DurationBuckets is a latency bucket ladder in seconds suitable for
 // reconcile and RPC timings (0.5ms .. 10s).
 var DurationBuckets = []float64{

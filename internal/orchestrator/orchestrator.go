@@ -47,11 +47,6 @@ type Options struct {
 	// (slightly) different optima than cold ones, so enabling it changes
 	// plan bytes.
 	WarmStart bool
-	// DisableSharding forces a single monolithic scheduler shard holding
-	// every surface, regardless of the scene's interference-domain
-	// structure. For benchmarks and A/B comparison; single-domain scenes
-	// behave identically either way.
-	DisableSharding bool
 	// MinCouplingDB is the interference-domain reachability threshold in
 	// power dB (0 selects engine.DefaultMinCouplingDB, -40).
 	MinCouplingDB float64

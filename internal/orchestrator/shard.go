@@ -194,7 +194,7 @@ func (o *Orchestrator) ensureShardsLocked() {
 	}
 
 	var domains [][]int
-	if o.Opts.DisableSharding || len(devs) <= 1 {
+	if len(devs) <= 1 {
 		all := make([]int, len(devs))
 		for i := range all {
 			all[i] = i
