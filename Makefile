@@ -9,8 +9,8 @@ all: build vet test
 # figures modulo timing strings), a one-iteration benchmark smoke pass
 # so benchmark code cannot rot, the seeded fault-injection suite, the
 # crash-recovery boundary replay, the replication/failover suite, a
-# short fuzz pass over the shared wire codec, and the pooled-evaluation
-# determinism suite repeated at GOMAXPROCS=1,2,4.
+# short fuzz pass over the shared wire codec, and the fan-out determinism
+# suite repeated at GOMAXPROCS=1,2,4.
 ci: build vet staticcheck race golden bench-smoke test-faults test-crash test-failover test-mobility fuzz-smoke test-parallel
 
 # fuzz-smoke runs the wire-frame fuzzer briefly on top of its checked-in
@@ -75,7 +75,7 @@ test-mobility:
 	@for seed in $(FAULT_SEEDS); do \
 		echo "== mobility suite, seed $$seed =="; \
 		SURFOS_FAULT_SEED=$$seed $(GO) test -race -count=1 \
-			-run 'Mobility|Governor|MoveTask|Carry|Thrash|Edit|Handoff|Warm|Poisson|Orders|Clamps|StopsOnFirstError' \
+			-run 'Mobility|Governor|MoveTask|Carry|Thrash|Edit|Handoff|Poisson|Orders|Clamps|StopsOnFirstError' \
 			./internal/scenario ./internal/scene ./internal/engine \
 			./internal/orchestrator ./internal/ctrlproto ./internal/monitor \
 			./internal/experiments ./cmd/... || exit 1; \
@@ -107,12 +107,11 @@ bench:
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
-# test-parallel reruns the optimizer, sensing and engine suites at several
-# GOMAXPROCS values (-cpu multiplies each test): pooled WeightedSum
-# evaluation and Engine.ForEach fan-outs must stay bit-identical to serial
-# whether the runtime has 1, 2, or 4 procs.
+# test-parallel reruns the sensing and engine suites at several GOMAXPROCS
+# values (-cpu multiplies each test): Engine.ForEach fan-outs must stay
+# bit-identical to serial whether the runtime has 1, 2, or 4 procs.
 test-parallel:
-	$(GO) test -count=1 -cpu=1,2,4 ./internal/optimize/ ./internal/sensing/ ./internal/engine/
+	$(GO) test -count=1 -cpu=1,2,4 ./internal/sensing/ ./internal/engine/
 
 fmt:
 	gofmt -l -w .

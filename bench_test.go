@@ -662,8 +662,10 @@ func BenchmarkEngineTxCacheHit(b *testing.B) {
 // benchmarkReconcile prices one full scheduler pass (group, pick strategy,
 // optimize, commit) over n link tasks sharing one band. A private engine
 // isolates the trace cache; the warm-up pass fills it, so steady-state
-// iterations measure scheduling + optimization, not ray tracing.
-func benchmarkReconcile(b *testing.B, n int) {
+// iterations measure scheduling + optimization, not ray tracing. want is
+// the multiplexing strategy n tasks on two panels must land on, so each
+// size keeps pricing the path it is named for.
+func benchmarkReconcile(b *testing.B, n int, want string) {
 	apt := surfos.NewApartment()
 	hw := surfos.NewHardware()
 	for i, mount := range []string{surfos.MountEastWall, surfos.MountNorthWall} {
@@ -698,6 +700,11 @@ func benchmarkReconcile(b *testing.B, n int) {
 		}
 	}
 	b.ReportMetric(float64(running), "running-tasks")
+	for _, p := range orch.Plans() {
+		if p.Strategy != want {
+			b.Fatalf("%d tasks planned %s, want %s", n, p.Strategy, want)
+		}
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := orch.Reconcile(ctx); err != nil {
@@ -707,8 +714,13 @@ func benchmarkReconcile(b *testing.B, n int) {
 }
 
 func BenchmarkReconcile(b *testing.B) {
-	for _, n := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("tasks=%d", n), func(b *testing.B) { benchmarkReconcile(b, n) })
+	// Two panels: 1 task is solo, 3 share one jointly optimized
+	// configuration (the paper's §4 multitasking), 4 and up rotate TDM.
+	for _, c := range []struct {
+		n    int
+		want string
+	}{{1, "solo"}, {3, "joint"}, {4, "tdm"}, {16, "tdm"}} {
+		b.Run(fmt.Sprintf("tasks=%d", c.n), func(b *testing.B) { benchmarkReconcile(b, c.n, c.want) })
 	}
 	// Multi-room scale: the same pass over an 8-panel 4-room strip, one
 	// shard per room (interference domain).

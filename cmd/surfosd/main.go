@@ -58,8 +58,7 @@
 // mark their interference domain dirty instead of re-planning inline, a
 // per-domain token bucket (-replan-burst, -replan-refill) coalesces
 // bursts, and -replan-staleness bounds how stale a dirty domain's plan
-// may get before a re-plan is forced. -warm-replan seeds each re-plan
-// from the previous committed plan. Governor counters are exported on
+// may get before a re-plan is forced. Governor counters are exported on
 // -metrics (surfos_replans_total, surfos_replans_suppressed_total,
 // surfos_replan_duration_seconds).
 package main
@@ -140,8 +139,6 @@ type daemonOptions struct {
 	// replanStaleness bounds how long a dirty domain may serve a stale
 	// plan before a re-plan is forced (0 = default).
 	replanStaleness time.Duration
-	// warmReplan seeds each re-plan from the previous committed plan.
-	warmReplan bool
 	// replicateTo lists follower -listen addresses to ship the WAL to
 	// (comma-separated; empty disables replication).
 	replicateTo string
@@ -311,9 +308,7 @@ func newDaemon(ctx context.Context, surfaceList string, opts daemonOptions) (*da
 		return nil, err
 	}
 
-	orch, err := surfos.NewOrchestrator(d.apt.Scene, d.hw, surfos.Options{
-		WarmStart: opts.warmReplan,
-	})
+	orch, err := surfos.NewOrchestrator(d.apt.Scene, d.hw, surfos.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -326,8 +321,8 @@ func newDaemon(ctx context.Context, surfaceList string, opts daemonOptions) (*da
 			MaxStaleness: opts.replanStaleness,
 		})
 		g := d.gov.Options()
-		log.Printf("replan governor: burst=%d refill=%s max-staleness=%s warm=%v",
-			g.Burst, g.Refill, g.MaxStaleness, opts.warmReplan)
+		log.Printf("replan governor: burst=%d refill=%s max-staleness=%s",
+			g.Burst, g.Refill, g.MaxStaleness)
 		// Deadline enforcement: a dirty domain whose tokens never refill in
 		// time still re-plans within MaxStaleness. Polling at a quarter of
 		// the bound keeps the observed staleness close to it.
@@ -1136,7 +1131,6 @@ func main() {
 	replanBurst := flag.Int("replan-burst", 0, "replan governor token-bucket burst per domain (0 disables the governor)")
 	replanRefill := flag.Duration("replan-refill", 0, "replan governor token refill interval (0 = default 500ms)")
 	replanStaleness := flag.Duration("replan-staleness", 0, "bound on how long a dirty domain may serve a stale plan (0 = default 2s)")
-	warmReplan := flag.Bool("warm-replan", false, "seed re-plans from the previous committed plan (faster convergence under churn)")
 	replicateTo := flag.String("replicate-to", "", "comma-separated follower -listen addresses to ship the journal to (empty disables)")
 	follow := flag.Bool("follow", false, "run as a warm standby: replay replication received on -listen, promote on lease expiry")
 	leaseTTL := flag.Duration("lease-ttl", defaultLeaseTTL, "leadership lease duration (standby promotes this long after the last heartbeat)")
@@ -1159,7 +1153,6 @@ func main() {
 		replanBurst:     *replanBurst,
 		replanRefill:    *replanRefill,
 		replanStaleness: *replanStaleness,
-		warmReplan:      *warmReplan,
 		replicateTo:     *replicateTo,
 		follow:          *follow,
 		leaseTTL:        *leaseTTL,

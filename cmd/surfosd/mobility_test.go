@@ -8,13 +8,12 @@ import (
 	"surfos/internal/metrics"
 )
 
-// governedDaemon is testDaemon with the replan governor and warm starts
-// enabled, the way an operator would run -replan-burst 2 -warm-replan.
+// governedDaemon is testDaemon with the replan governor enabled, the way
+// an operator would run -replan-burst 2.
 func governedDaemon(t *testing.T) *daemon {
 	t.Helper()
 	d, err := newDaemon(context.Background(), "NR-Surface@east_wall,NR-Surface@north_wall", daemonOptions{
 		replanBurst: 2,
-		warmReplan:  true,
 	})
 	if err != nil {
 		t.Fatal(err)

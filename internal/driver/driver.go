@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"surfos/internal/em"
-	"surfos/internal/optimize"
 	"surfos/internal/surface"
 )
 
@@ -282,19 +281,6 @@ func (d *Driver) Project(cfg surface.Config) surface.Config {
 		out = out.Normalize()
 	}
 	return d.pinStuck(out)
-}
-
-// Projector adapts Project to the optimizer's constraint-hook signature for
-// a single-surface phase search.
-func (d *Driver) Projector() optimize.Projector {
-	return func(phases [][]float64) [][]float64 {
-		out := make([][]float64, len(phases))
-		for i, p := range phases {
-			cfg := surface.Config{Property: surface.Phase, Values: p}
-			out[i] = d.Project(cfg).Values
-		}
-		return out
-	}
 }
 
 // ShiftPhase programs a phase configuration — the unified primitive the

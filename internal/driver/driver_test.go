@@ -279,12 +279,11 @@ func TestCodebookStoreAndSelect(t *testing.T) {
 
 func TestProjectorIdempotent(t *testing.T) {
 	d, _ := New(mustSpec(t, ModelMMWall), testSurface(t, surface.Transmissive, 3, 4))
-	proj := d.Projector()
-	in := [][]float64{{0.3, 1.1, 2.2, 3.3, 4.4, 5.5, 0.1, 0.9, 1.8, 2.7, 3.6, 4.5}}
-	once := proj(in)
-	twice := proj(once)
-	for k := range once[0] {
-		if math.Abs(once[0][k]-twice[0][k]) > 1e-9 {
+	in := surface.Config{Property: surface.Phase, Values: []float64{0.3, 1.1, 2.2, 3.3, 4.4, 5.5, 0.1, 0.9, 1.8, 2.7, 3.6, 4.5}}
+	once := d.Project(in)
+	twice := d.Project(once)
+	for k := range once.Values {
+		if math.Abs(once.Values[k]-twice.Values[k]) > 1e-9 {
 			t.Fatalf("projector not idempotent at %d", k)
 		}
 	}

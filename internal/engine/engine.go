@@ -126,13 +126,12 @@ type Stats struct {
 // It is safe for concurrent use.
 //
 // The worker pool is a token budget, not a fixed goroutine set: every
-// fan-out (ForEach, or a Scope held across many fan-outs) borrows spare
-// tokens non-blockingly and always keeps the calling goroutine working
-// inline, so nested fan-outs — a pooled joint Eval inside an orchestrator
-// shard reconcile — share one budget instead of multiplying it. An inner
-// fan-out that finds no spare tokens degrades to serial on its caller's
-// goroutine; it can never deadlock waiting for tokens the outer fan-out
-// holds.
+// ForEach borrows spare tokens non-blockingly and always keeps the
+// calling goroutine working inline, so nested fan-outs — a sensing grid
+// inside an orchestrator shard reconcile — share one budget instead of
+// multiplying it. An inner fan-out that finds no spare tokens degrades to
+// serial on its caller's goroutine; it can never deadlock waiting for
+// tokens the outer fan-out holds.
 type Engine struct {
 	workers int
 	maxTx   int
@@ -495,130 +494,55 @@ func ctxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// Scope is a reserved slice of the engine's worker budget, held across
-// many fan-outs. Callers that need stable per-worker state (one
-// scratch buffer per slot, say) acquire a scope once, size
-// their state to Workers(), and run every fan-out through it; the slot
-// index passed to fn identifies which per-worker state the invocation may
-// use. A Scope is not safe for concurrent use by multiple goroutines;
-// Release returns the borrowed tokens and must be called exactly once.
-type Scope struct {
-	e      *Engine
-	extra  int // loaned tokens: workers beyond the calling goroutine
-	closed bool
-}
-
-// Acquire reserves up to max workers (including the caller; max <= 0 or
-// max > the engine width means the engine width) from the engine's spare
-// token budget without blocking: if other fan-outs hold the tokens, the
-// scope is simply narrower — possibly just the caller. A scope therefore
-// always makes progress and can never deadlock against its own outer
-// fan-out.
-func (e *Engine) Acquire(max int) *Scope {
-	if max <= 0 || max > e.workers {
-		max = e.workers
-	}
-	got := 0
-	for got < max-1 {
+// ForEach runs fn(i) for every i in [0, n) across the worker pool and
+// blocks until all complete or ctx is canceled. It borrows up to n-1
+// spare tokens without blocking and returns them when it is done; the
+// calling goroutine always works inline, so a fan-out that finds the
+// tokens loaned out (a nested ForEach, a contended engine) is simply
+// narrower — possibly serial — and can never deadlock against its own
+// outer fan-out. Iterations already started when cancellation lands run
+// to completion; unstarted ones are skipped, and the ctx error is
+// returned so callers know the result is partial. fn must be safe for
+// concurrent invocation with distinct indices; writing out[i] from fn(i)
+// yields deterministic, serial-identical results.
+func (e *Engine) ForEach(ctx context.Context, n int, fn func(i int)) error {
+	extra := 0
+borrow:
+	for extra < n-1 {
 		select {
 		case <-e.spare:
-			got++
+			extra++
 		default:
-			return &Scope{e: e, extra: got}
+			break borrow
 		}
 	}
-	return &Scope{e: e, extra: got}
-}
-
-// Workers returns the scope's width: the caller plus the loaned workers.
-func (s *Scope) Workers() int { return s.extra + 1 }
-
-// Release returns the scope's loaned tokens to the engine. Safe to call
-// more than once; only the first call returns tokens.
-func (s *Scope) Release() {
-	if s.closed {
-		return
-	}
-	s.closed = true
-	for i := 0; i < s.extra; i++ {
-		s.e.spare <- struct{}{}
-	}
-	s.extra = 0
-}
-
-// ForEach runs fn(slot, i) for every i in [0, n) across the scope's
-// workers and blocks until all complete or ctx is canceled. slot is in
-// [0, Workers()); invocations sharing a slot never overlap, and the
-// calling goroutine itself runs slot 0, so per-slot state needs no
-// locking. Iterations already started when cancellation lands run to
-// completion; unstarted ones are skipped, and the ctx error is returned
-// so callers know the result is partial. Writing out[i] from fn(slot, i)
-// yields deterministic, serial-identical results.
-func (s *Scope) ForEach(ctx context.Context, n int, fn func(slot, i int)) error {
-	if n <= 0 {
-		return ctxErr(ctx)
-	}
-	extra := s.extra
-	if extra > n-1 {
-		extra = n - 1
-	}
-	if extra <= 0 {
-		for i := 0; i < n; i++ {
-			if err := ctxErr(ctx); err != nil {
-				return err
-			}
-			fn(0, i)
+	defer func() {
+		for i := 0; i < extra; i++ {
+			e.spare <- struct{}{}
 		}
-		return nil
-	}
+	}()
 	var next atomic.Int64
 	next.Store(-1)
+	work := func() {
+		for ctxErr(ctx) == nil {
+			i := next.Add(1)
+			if i >= int64(n) {
+				return
+			}
+			fn(int(i))
+		}
+	}
 	var wg sync.WaitGroup
 	wg.Add(extra)
-	for w := 1; w <= extra; w++ {
-		go func(slot int) {
+	for w := 0; w < extra; w++ {
+		go func() {
 			defer wg.Done()
-			for {
-				if ctxErr(ctx) != nil {
-					return
-				}
-				i := next.Add(1)
-				if i >= int64(n) {
-					return
-				}
-				fn(slot, int(i))
-			}
-		}(w)
+			work()
+		}()
 	}
-	for {
-		if ctxErr(ctx) != nil {
-			break
-		}
-		i := next.Add(1)
-		if i >= int64(n) {
-			break
-		}
-		fn(0, int(i))
-	}
+	work()
 	wg.Wait()
 	return ctxErr(ctx)
-}
-
-// ForEach runs fn(i) for every i in [0, n) across the worker pool and
-// blocks until all complete or ctx is canceled — a one-shot Scope that
-// borrows at most n workers for the duration of the call. Iterations
-// already started when cancellation lands run to completion; unstarted
-// ones are skipped, and the ctx error is returned so callers know the
-// result is partial. fn must be safe for concurrent invocation with
-// distinct indices; writing out[i] from fn(i) yields deterministic,
-// serial-identical results.
-func (e *Engine) ForEach(ctx context.Context, n int, fn func(i int)) error {
-	if n <= 0 {
-		return ctxErr(ctx)
-	}
-	sc := e.Acquire(n)
-	defer sc.Release()
-	return sc.ForEach(ctx, n, func(_, i int) { fn(i) })
 }
 
 // Channels evaluates the channel at every point in pts in parallel,

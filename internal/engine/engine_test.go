@@ -409,13 +409,13 @@ func TestSortedSurfaces(t *testing.T) {
 	}
 }
 
-// TestParallelSweepWithHeatmapOnSharedPool runs a scoped fan-out job and
-// heatmap evaluations on the same engine pool concurrently: one worker
-// budget (the two jobs together never run more callbacks than the engine
-// has workers to lend plus their own two goroutines), no deadlock from
-// pool re-entrancy (the scope degrades to its caller alone while heatmaps
-// hold the tokens), no data race, and the job's output stays identical to
-// a serial loop.
+// TestParallelSweepWithHeatmapOnSharedPool runs a fan-out job and heatmap
+// evaluations on the same engine pool concurrently: one worker budget
+// (the two jobs together never run more callbacks than the engine has
+// workers to lend plus their own two goroutines), no deadlock from pool
+// contention (a ForEach degrades to its caller alone while heatmaps hold
+// the tokens), no data race, and the job's output stays identical to a
+// serial loop.
 func TestParallelSweepWithHeatmapOnSharedPool(t *testing.T) {
 	apt, s := rig(t)
 	ctx := context.Background()
@@ -471,16 +471,13 @@ func TestParallelSweepWithHeatmapOnSharedPool(t *testing.T) {
 	}()
 
 	for run := 0; run < 50; run++ {
-		sc := eng.Acquire(0)
 		got := make([]float64, len(chans))
-		err := sc.ForEach(ctx, len(chans), func(_, i int) { counted(got, i) })
-		sc.Release()
-		if err != nil {
+		if err := eng.ForEach(ctx, len(chans), func(i int) { counted(got, i) }); err != nil {
 			t.Fatal(err)
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("run %d: point %d: scoped %.17g != serial %.17g", run, i, got[i], want[i])
+				t.Fatalf("run %d: point %d: pooled %.17g != serial %.17g", run, i, got[i], want[i])
 			}
 		}
 	}

@@ -2,72 +2,10 @@ package engine
 
 import (
 	"context"
-	"sync"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
-
-// TestScopeWidthAndRelease: a scope takes the engine's spare tokens and
-// returns them on Release; while held, sibling scopes see only what's left.
-func TestScopeWidthAndRelease(t *testing.T) {
-	eng := New(Options{Workers: 4})
-	a := eng.Acquire(0)
-	if a.Workers() != 4 {
-		t.Fatalf("first scope width %d, want 4", a.Workers())
-	}
-	b := eng.Acquire(0)
-	if b.Workers() != 1 {
-		t.Errorf("second scope width %d, want 1 (tokens all loaned)", b.Workers())
-	}
-	a.Release()
-	a.Release() // idempotent: must not double-return tokens
-	c := eng.Acquire(2)
-	if c.Workers() != 2 {
-		t.Errorf("capped scope width %d, want 2", c.Workers())
-	}
-	d := eng.Acquire(0)
-	if d.Workers() != 3 {
-		t.Errorf("remainder scope width %d, want 3", d.Workers())
-	}
-	b.Release()
-	c.Release()
-	d.Release()
-	if e := eng.Acquire(0); e.Workers() != 4 {
-		t.Errorf("post-release scope width %d, want 4", e.Workers())
-	} else {
-		e.Release()
-	}
-}
-
-// TestScopeForEachSlotExclusive: invocations sharing a slot must never
-// overlap, slot 0 runs on the calling goroutine, and every index runs
-// exactly once.
-func TestScopeForEachSlotExclusive(t *testing.T) {
-	eng := New(Options{Workers: 8})
-	sc := eng.Acquire(0)
-	defer sc.Release()
-
-	busy := make([]atomic.Int32, sc.Workers())
-	var ran [512]atomic.Int32
-	err := sc.ForEach(context.Background(), len(ran), func(slot, i int) {
-		if slot < 0 || slot >= sc.Workers() {
-			t.Errorf("slot %d out of range [0,%d)", slot, sc.Workers())
-		}
-		if busy[slot].Add(1) != 1 {
-			t.Errorf("slot %d entered concurrently", slot)
-		}
-		ran[i].Add(1)
-		busy[slot].Add(-1)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ran {
-		if n := ran[i].Load(); n != 1 {
-			t.Fatalf("index %d ran %d times", i, n)
-		}
-	}
-}
 
 // TestNestedForEachSharesBudget: an inner fan-out launched from inside an
 // outer fan-out must not oversubscribe — total concurrently running
@@ -110,33 +48,36 @@ func TestNestedForEachSharesBudget(t *testing.T) {
 	}
 }
 
-// TestScopeSerialWhenTokensHeld: with every token loaned out, a sibling
-// scope's ForEach degrades to serial inline execution and still completes.
+// TestScopeSerialWhenTokensHeld: an outer fan-out as wide as the engine
+// holds every spare token until it returns, so a ForEach started inside it
+// degrades to serial inline execution — in index order, on one goroutine
+// (order is unsynchronized on purpose: -race reports any overlap) — and
+// still completes.
 func TestScopeSerialWhenTokensHeld(t *testing.T) {
-	eng := New(Options{Workers: 4})
-	hold := eng.Acquire(0)
-	defer hold.Release()
-
-	sc := eng.Acquire(0)
-	defer sc.Release()
-	if sc.Workers() != 1 {
-		t.Fatalf("scope width %d, want 1", sc.Workers())
-	}
-	var mu sync.Mutex
-	order := make([]int, 0, 10)
-	if err := sc.ForEach(context.Background(), 10, func(slot, i int) {
-		if slot != 0 {
-			t.Errorf("serial scope used slot %d", slot)
+	const width = 4
+	eng := New(Options{Workers: width})
+	err := eng.ForEach(context.Background(), width, func(outer int) {
+		if n := len(eng.spare); n != 0 {
+			t.Errorf("outer %d: %d spare tokens while a full-width fan-out runs", outer, n)
 		}
-		mu.Lock()
-		order = append(order, i)
-		mu.Unlock()
-	}); err != nil {
+		order := make([]int, 0, 10)
+		if err := eng.ForEach(context.Background(), 10, func(i int) {
+			runtime.Gosched() // let a (wrongly) borrowed worker overtake
+			order = append(order, i)
+		}); err != nil {
+			t.Error(err)
+		}
+		for i, v := range order {
+			if v != i {
+				t.Errorf("outer %d: inner fan-out ran out of order: %v", outer, order)
+				break
+			}
+		}
+		if len(order) != 10 {
+			t.Errorf("outer %d: inner fan-out ran %d of 10 iterations", outer, len(order))
+		}
+	})
+	if err != nil {
 		t.Fatal(err)
-	}
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("serial scope ran out of order: %v", order)
-		}
 	}
 }

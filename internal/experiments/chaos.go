@@ -10,7 +10,6 @@ import (
 	"surfos/internal/geom"
 	"surfos/internal/hwmgr"
 	"surfos/internal/orchestrator"
-	"surfos/internal/rfsim"
 	"surfos/internal/scene"
 	"surfos/internal/surface"
 	"surfos/internal/telemetry"
@@ -55,27 +54,25 @@ func chaosFor(p Profile) chaosParams {
 	return chaosParams{rows: 16, cols: 16, iters: 60}
 }
 
-// chaosDeploy mounts one NR-Surface panel and returns its driver.
-func chaosDeploy(apt *scene.Apartment, hw *hwmgr.Manager, id, mount string, rows, cols int) (*driver.Driver, error) {
+// deployNRPanel registers one rows×cols NR-Surface panel at a mount spot
+// — the panel every control-plane experiment (chaos, restart, failover,
+// mobility) deploys.
+func deployNRPanel(hw *hwmgr.Manager, id, mount string, spot scene.MountSpot, rows, cols int) error {
 	spec, err := driver.Lookup(driver.ModelNRSurface)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	pitch := em.Wavelength(spec.FreqLowHz+(spec.FreqHighHz-spec.FreqLowHz)/2) / 2
-	m := apt.Mounts[mount]
-	panel := m.Panel(float64(cols)*pitch+0.02, float64(rows)*pitch+0.02)
+	panel := spot.Panel(float64(cols)*pitch+0.02, float64(rows)*pitch+0.02)
 	s, err := surface.New(id, panel, surface.Layout{Rows: rows, Cols: cols, PitchU: pitch, PitchV: pitch}, spec.OpMode, nil)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	d, err := driver.New(spec, s)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if err := hw.AddSurface(id, mount, d); err != nil {
-		return nil, err
-	}
-	return d, nil
+	return hw.AddSurface(id, mount, d)
 }
 
 // RunChaos executes the kill/revive cycle. Everything is synchronous and
@@ -83,34 +80,16 @@ func chaosDeploy(apt *scene.Apartment, hw *hwmgr.Manager, id, mount string, rows
 // are drained in order — so the timeline (and its rendering) is
 // deterministic and golden-checkable.
 func RunChaos(ctx context.Context, p Profile) (*ChaosResult, error) {
-	par := chaosFor(p)
-	apt := scene.NewApartment()
-	hw := hwmgr.New()
-	east, err := chaosDeploy(apt, hw, "east", scene.MountEastWall, par.rows, par.cols)
+	pl, err := newRestartPlane(p)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := chaosDeploy(apt, hw, "north", scene.MountNorthWall, par.rows, par.cols); err != nil {
-		return nil, err
-	}
-	if err := hw.AddAP(&hwmgr.AccessPoint{
-		ID: "ap0", Pos: apt.AP, FreqHz: 24e9,
-		Budget: rfsim.DefaultBudget(), Antennas: 4,
-	}); err != nil {
-		return nil, err
-	}
-	orch, err := orchestrator.New(apt.Scene, hw, orchestrator.Options{
-		OptIters: par.iters, GridStep: 1.2,
-	})
+	defer pl.unsub()
+	orch, hw, ch := pl.orch, pl.hw, pl.ch
+	east, err := hw.Surface("east")
 	if err != nil {
 		return nil, err
 	}
-
-	bus := telemetry.NewEventBus()
-	orch.SetEventBus(bus)
-	hw.SetEventBus(bus)
-	ch, unsub := bus.Subscribe(256)
-	defer unsub()
 
 	out := &ChaosResult{Profile: p, Victim: "east"}
 	// heal drains the pending bus events in order, feeding device
@@ -164,7 +143,7 @@ func RunChaos(ctx context.Context, p Profile) (*ChaosResult, error) {
 	// event-driven re-plan migrates the task onto the survivor.
 	fm := driver.NewFaultModel(1)
 	fm.SetDead(true)
-	east.SetFaults(fm)
+	east.Drv.SetFaults(fm)
 	hw.ProbeAll()
 	if err := heal(); err != nil {
 		return nil, err

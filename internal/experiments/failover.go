@@ -251,20 +251,13 @@ func RunFailover(ctx context.Context, p Profile) (*FailoverResult, error) {
 	// --- promotion recovery: the exact boot path against the replica ---
 	st2, state2 := fol.Handoff()
 	defer st2.Close()
-	live := state2.Live()
-	out.RecoveredLive = len(live)
 	pl2, err := newRestartPlane(p)
 	if err != nil {
 		return nil, err
 	}
 	defer pl2.unsub()
 	journal2 := store.NewJournal(st2, state2)
-	for _, tr := range live {
-		if _, err := pl2.orch.RestoreTask(tr.Spec, tr.State); err != nil {
-			return nil, fmt.Errorf("restore task %d: %w", tr.ID, err)
-		}
-	}
-	if err := pl2.orch.Reconcile(ctx); err != nil {
+	if out.RecoveredLive, err = pl2.recoverFrom(ctx, state2); err != nil {
 		return nil, err
 	}
 	if err := pl2.drainInto(journal2); err != nil {
@@ -287,13 +280,8 @@ func RunFailover(ctx context.Context, p Profile) (*FailoverResult, error) {
 		return nil, err
 	}
 	defer st3.Close()
-	for _, tr := range state3.Live() {
-		if _, err := pl3.orch.RestoreTask(tr.Spec, tr.State); err != nil {
-			return nil, fmt.Errorf("ghost restore task %d: %w", tr.ID, err)
-		}
-	}
-	if err := pl3.orch.Reconcile(ctx); err != nil {
-		return nil, err
+	if _, err := pl3.recoverFrom(ctx, state3); err != nil {
+		return nil, fmt.Errorf("ghost: %w", err)
 	}
 	promoted, err := json.Marshal(pl2.orch.Plans())
 	if err != nil {

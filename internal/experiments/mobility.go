@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"surfos/internal/driver"
 	"surfos/internal/em"
 	"surfos/internal/engine"
 	"surfos/internal/geom"
@@ -15,7 +14,6 @@ import (
 	"surfos/internal/rfsim"
 	"surfos/internal/scenario"
 	"surfos/internal/scene"
-	"surfos/internal/surface"
 	"surfos/internal/telemetry"
 )
 
@@ -34,7 +32,7 @@ const (
 // discrete-event scenario — Poisson task arrivals and departures, a
 // screen wall thrashing in room 1, and a user walking their link task
 // across the room-0/room-1 boundary — with every re-plan flowing through
-// the rate-limiting governor and warm-started from the previous plan.
+// the rate-limiting governor.
 //
 // The claims it demonstrates: churn beyond the re-plan budget coalesces
 // (suppressed re-plans counted, staleness bounded by the deadline, not
@@ -90,27 +88,6 @@ func mobilityFor(p Profile) mobilityParams {
 	return mobilityParams{rows: 8, cols: 8, iters: 40}
 }
 
-// mobilityDeploy mounts one NR-Surface panel per room of the strip.
-func mobilityDeploy(strip *scene.RoomStrip, hw *hwmgr.Manager, room, rows, cols int) error {
-	spec, err := driver.Lookup(driver.ModelNRSurface)
-	if err != nil {
-		return err
-	}
-	id := scene.RoomMountNorth(room)
-	pitch := em.Wavelength(spec.FreqLowHz+(spec.FreqHighHz-spec.FreqLowHz)/2) / 2
-	m := strip.Mounts[id]
-	panel := m.Panel(float64(cols)*pitch+0.02, float64(rows)*pitch+0.02)
-	s, err := surface.New(id, panel, surface.Layout{Rows: rows, Cols: cols, PitchU: pitch, PitchV: pitch}, spec.OpMode, nil)
-	if err != nil {
-		return err
-	}
-	d, err := driver.New(spec, s)
-	if err != nil {
-		return err
-	}
-	return hw.AddSurface(id, id, d)
-}
-
 // mobilityScreen is the drywall screen that thrashes inside room 1.
 func mobilityScreen(off float64) *geom.Quad {
 	x := scene.RoomW + 1.5 + off
@@ -126,7 +103,8 @@ func RunMobility(ctx context.Context, p Profile, seed int64) (*MobilityResult, e
 	strip := scene.NewRoomStrip(3)
 	hw := hwmgr.New()
 	for room := 0; room < 3; room++ {
-		if err := mobilityDeploy(strip, hw, room, par.rows, par.cols); err != nil {
+		id := scene.RoomMountNorth(room)
+		if err := deployNRPanel(hw, id, id, strip.Mounts[id], par.rows, par.cols); err != nil {
 			return nil, err
 		}
 	}
@@ -140,7 +118,7 @@ func RunMobility(ctx context.Context, p Profile, seed int64) (*MobilityResult, e
 	// run alone.
 	eng := engine.New(engine.Options{})
 	orch, err := orchestrator.New(strip.Scene, hw, orchestrator.Options{
-		OptIters: par.iters, GridStep: 1.2, Engine: eng, WarmStart: true,
+		OptIters: par.iters, GridStep: 1.2, Engine: eng,
 	})
 	if err != nil {
 		return nil, err

@@ -54,22 +54,21 @@ type RestartResult struct {
 type restartPlane struct {
 	hw    *hwmgr.Manager
 	orch  *orchestrator.Orchestrator
-	bus   *telemetry.EventBus
 	ch    <-chan telemetry.TaskEvent
 	unsub func()
 }
 
 // newRestartPlane builds a fresh two-surface control plane over the
-// reference apartment, identically for both epochs.
+// reference apartment — identically for every epoch of the restart and
+// failover experiments, and for the chaos experiment's single one.
 func newRestartPlane(p Profile) (*restartPlane, error) {
 	par := chaosFor(p)
 	apt := scene.NewApartment()
 	hw := hwmgr.New()
-	if _, err := chaosDeploy(apt, hw, "east", scene.MountEastWall, par.rows, par.cols); err != nil {
-		return nil, err
-	}
-	if _, err := chaosDeploy(apt, hw, "north", scene.MountNorthWall, par.rows, par.cols); err != nil {
-		return nil, err
+	for _, pn := range [][2]string{{"east", scene.MountEastWall}, {"north", scene.MountNorthWall}} {
+		if err := deployNRPanel(hw, pn[0], pn[1], apt.Mounts[pn[1]], par.rows, par.cols); err != nil {
+			return nil, err
+		}
 	}
 	if err := hw.AddAP(&hwmgr.AccessPoint{
 		ID: "ap0", Pos: apt.AP, FreqHz: 24e9,
@@ -87,7 +86,7 @@ func newRestartPlane(p Profile) (*restartPlane, error) {
 	orch.SetEventBus(bus)
 	hw.SetEventBus(bus)
 	ch, unsub := bus.Subscribe(256)
-	return &restartPlane{hw: hw, orch: orch, bus: bus, ch: ch, unsub: unsub}, nil
+	return &restartPlane{hw: hw, orch: orch, ch: ch, unsub: unsub}, nil
 }
 
 // drainInto feeds every pending bus event to the journal, synchronously —
@@ -104,6 +103,23 @@ func (pl *restartPlane) drainInto(j *store.Journal) error {
 			return nil
 		}
 	}
+}
+
+// recoverFrom is an epoch's recovery: re-admit the recovered state's live
+// tasks through orchestrator.Readmit — the hook boot recovery and standby
+// promotion call, so IDs compacted out of the journal stay burned here
+// too — and run the recovery re-plan. It returns how many live tasks the
+// state held; a spec that no longer restores fails the experiment.
+func (pl *restartPlane) recoverFrom(ctx context.Context, state *store.State) (int, error) {
+	live := state.Live()
+	specs := make([]orchestrator.RestoreSpec, len(live))
+	for i, tr := range live {
+		specs[i] = orchestrator.RestoreSpec{ID: tr.ID, Spec: tr.Spec, LastState: tr.State}
+	}
+	if res := pl.orch.Readmit(specs, state.MaxTaskID, nil); len(res.Dropped) > 0 {
+		return 0, fmt.Errorf("experiments: task(s) %v not restored", res.Dropped)
+	}
+	return len(live), pl.orch.Reconcile(ctx)
 }
 
 // rows snapshots the task table, sorted by ID (Tasks already sorts).
@@ -217,15 +233,8 @@ func RunRestart(ctx context.Context, p Profile) (*RestartResult, error) {
 		return nil, err
 	}
 	defer st2.Close()
-	live := state2.Live()
-	out.RecoveredLive = len(live)
 	journal2 := store.NewJournal(st2, state2)
-	for _, tr := range live {
-		if _, err := pl2.orch.RestoreTask(tr.Spec, tr.State); err != nil {
-			return nil, fmt.Errorf("restore task %d: %w", tr.ID, err)
-		}
-	}
-	if err := pl2.orch.Reconcile(ctx); err != nil {
+	if out.RecoveredLive, err = pl2.recoverFrom(ctx, state2); err != nil {
 		return nil, err
 	}
 	if err := pl2.drainInto(journal2); err != nil {

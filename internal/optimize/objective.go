@@ -6,15 +6,13 @@
 //
 // Objectives expose analytic gradients with respect to per-element phase
 // shifts, which Adam exploits; the derivative-free baseline (random search)
-// only uses Eval and works for any hardware constraint set.
+// only uses Eval.
 package optimize
 
 import (
-	"context"
 	"fmt"
 
 	"surfos/internal/em"
-	"surfos/internal/engine"
 	"surfos/internal/surface"
 )
 
@@ -130,25 +128,6 @@ type WeightedSum struct {
 	Weights []float64
 
 	grad [][]float64 // gradient scratch, reused across Eval calls
-
-	// Pool configuration from UsePool: when set, Eval fans the terms
-	// across the engine's workers (each term instance owns its scratch, so
-	// distinct terms evaluate concurrently) and reduces in term order.
-	pool     *engine.Engine
-	termLoss []float64     // per-term losses, reduced in term order
-	termGrad [][][]float64 // per-term gradients (term-owned buffers)
-}
-
-// UsePool makes Eval fan its terms across the engine's worker pool:
-// each term evaluates on its own goroutine (every term instance already
-// owns its scratch), and the per-term losses and gradients are reduced
-// serially in term order afterwards. The reduction performs exactly one
-// addition per term per element — the same operation sequence as the
-// serial loop — so pooled evaluation is bit-identical to serial and safe
-// under golden-output checks. The fan-out borrows up to the engine's full
-// width; a nil engine disables pooling.
-func (w *WeightedSum) UsePool(eng *engine.Engine) {
-	w.pool = eng
 }
 
 // NewWeightedSum validates shapes and builds the combination.
@@ -179,21 +158,13 @@ func (w *WeightedSum) Shape() []int { return w.Terms[0].Shape() }
 
 // Eval implements Objective. Each term's gradient is accumulated into the
 // sum's reusable scratch immediately after the term evaluates, so terms may
-// themselves return reused buffers. With a pool configured (UsePool) and
-// more than one term, the terms evaluate concurrently and the accumulation
-// happens afterwards in term order — the identical operation sequence, so
-// the result is bit-for-bit the same either way.
+// themselves return reused buffers.
 func (w *WeightedSum) Eval(phases [][]float64, wantGrad bool) (float64, [][]float64) {
 	var loss float64
 	var grad [][]float64
 	if wantGrad {
 		w.grad = gradScratch(w.grad, w.Shape())
 		grad = w.grad
-	}
-	if w.pool != nil && len(w.Terms) > 1 {
-		if l, ok := w.evalPooled(phases, wantGrad, grad); ok {
-			return l, grad
-		}
 	}
 	for i, t := range w.Terms {
 		l, g := t.Eval(phases, wantGrad)
@@ -207,36 +178,4 @@ func (w *WeightedSum) Eval(phases [][]float64, wantGrad bool) (float64, [][]floa
 		}
 	}
 	return loss, grad
-}
-
-// evalPooled fans the terms across the engine pool and reduces in term
-// order. It reports false (leaving grad untouched) when the pool has no
-// spare workers right now, in which case the caller runs the serial loop.
-func (w *WeightedSum) evalPooled(phases [][]float64, wantGrad bool, grad [][]float64) (float64, bool) {
-	sc := w.pool.Acquire(0)
-	defer sc.Release()
-	if sc.Workers() <= 1 {
-		return 0, false
-	}
-	if len(w.termLoss) != len(w.Terms) {
-		w.termLoss = make([]float64, len(w.Terms))
-		w.termGrad = make([][][]float64, len(w.Terms))
-	}
-	_ = sc.ForEach(context.Background(), len(w.Terms), func(_, i int) {
-		w.termLoss[i], w.termGrad[i] = w.Terms[i].Eval(phases, wantGrad)
-	})
-	var loss float64
-	for i := range w.Terms {
-		loss += w.Weights[i] * w.termLoss[i]
-		if wantGrad {
-			g := w.termGrad[i]
-			for s := range g {
-				for k := range g[s] {
-					grad[s][k] += w.Weights[i] * g[s][k]
-				}
-			}
-		}
-		w.termGrad[i] = nil
-	}
-	return loss, true
 }

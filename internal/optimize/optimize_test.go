@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"surfos/internal/engine"
 	"surfos/internal/rfsim"
 	"surfos/internal/surface"
 )
@@ -145,40 +144,6 @@ func TestWeightedSumValidation(t *testing.T) {
 	}
 }
 
-// TestWeightedSumPooledEvalBitIdentical: fanning the sum's terms across a
-// pool must not change the loss or the gradient by a single bit, because
-// the reduction replays the serial accumulation order.
-func TestWeightedSumPooledEvalBitIdentical(t *testing.T) {
-	r := rand.New(rand.NewSource(47))
-	shape := []int{6, 5}
-	cov, _ := NewCoverageObjective([]*rfsim.Channel{randChannel(r, shape, true), randChannel(r, shape, false)}, testBudget())
-	pow, _ := NewPowerObjective([]*rfsim.Channel{randChannel(r, shape, false), randChannel(r, shape, true)})
-	sec, _ := NewSecurityObjective(randChannel(r, shape, true), randChannel(r, shape, true), 0.5, testBudget())
-	ws, err := NewWeightedSum([]Objective{cov, pow, sec}, []float64{1, 0.7, 1.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	phases := randPhases(r, shape)
-
-	serialLoss, serialGradRef := ws.Eval(phases, true)
-	serialGrad := ClonePhases(serialGradRef)
-
-	ws.UsePool(engine.New(engine.Options{Workers: 4}))
-	defer ws.UsePool(nil)
-	pooledLoss, pooledGrad := ws.Eval(phases, true)
-
-	if pooledLoss != serialLoss {
-		t.Errorf("loss: serial %.17g, pooled %.17g", serialLoss, pooledLoss)
-	}
-	for s := range serialGrad {
-		for k := range serialGrad[s] {
-			if pooledGrad[s][k] != serialGrad[s][k] {
-				t.Fatalf("grad[%d][%d]: serial %.17g, pooled %.17g", s, k, serialGrad[s][k], pooledGrad[s][k])
-			}
-		}
-	}
-}
-
 func TestObjectiveConstructorsValidate(t *testing.T) {
 	if _, err := NewCoverageObjective(nil, testBudget()); err == nil {
 		t.Error("empty coverage accepted")
@@ -262,28 +227,6 @@ func TestResultEvalsAccounting(t *testing.T) {
 	rs := RandomSearch(ctx, obj, Options{MaxIters: 25, Seed: 3})
 	if rs.Evals != rs.Iterations+1 {
 		t.Errorf("RandomSearch: Evals=%d Iterations=%d", rs.Evals, rs.Iterations)
-	}
-}
-
-func TestProjectorApplied(t *testing.T) {
-	r := rand.New(rand.NewSource(12))
-	obj, _ := NewPowerObjective([]*rfsim.Channel{randChannel(r, []int{8}, false)})
-	quant := func(p [][]float64) [][]float64 {
-		out := ClonePhases(p)
-		for s := range out {
-			cfg := surface.Config{Property: surface.Phase, Values: out[s]}
-			q := cfg.Quantize(2)
-			out[s] = q.Values
-		}
-		return out
-	}
-	res := Adam(context.Background(), obj, ZeroPhases(obj.Shape()), Options{MaxIters: 100, Project: quant})
-	step := math.Pi / 2
-	for _, v := range res.Phases[0] {
-		snapped := math.Round(v/step) * step
-		if math.Abs(v-snapped) > 1e-9 {
-			t.Errorf("phase %v not on 2-bit grid", v)
-		}
 	}
 }
 

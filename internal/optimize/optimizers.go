@@ -6,11 +6,6 @@ import (
 	"math/rand"
 )
 
-// Projector maps a phase set onto the feasible set of the hardware
-// (quantized states, column-wise sharing, …). It must be idempotent.
-// Drivers provide projectors from their specs.
-type Projector func([][]float64) [][]float64
-
 // Options tunes an optimization run. Zero or negative values select sane
 // defaults, so a partially filled Options can never produce an infinite
 // (MaxIters ≤ 0 with no other stop) or diverging (LR ≤ 0) loop.
@@ -23,7 +18,6 @@ type Options struct {
 	LR        float64 // Adam learning rate (radians), default 0.3; ≤ 0 uses the default
 	Tolerance float64 // Adam stops when |Δloss| < Tolerance for 10 iters, default 1e-9; ≤ 0 uses the default
 	Seed      int64   // RandomSearch RNG seed; 0 is deterministic, not time-seeded
-	Project   Projector
 }
 
 func (o Options) withDefaults() Options {
@@ -51,18 +45,11 @@ type Result struct {
 	Evals int
 	// Stopped is true when the run ended early because its context was
 	// canceled or its deadline expired. Phases/Loss still hold the best
-	// feasible candidate found up to that point.
+	// candidate found up to that point.
 	Stopped bool
 	// History records the loss after each iteration (Adam) or each
 	// improvement (RandomSearch).
 	History []float64
-}
-
-func project(p Projector, phases [][]float64) [][]float64 {
-	if p == nil {
-		return phases
-	}
-	return p(phases)
 }
 
 // canceled tolerates nil contexts so internal callers can pass the zero
@@ -73,16 +60,16 @@ func canceled(ctx context.Context) bool {
 
 // Adam minimizes the objective with the Adam gradient method starting at
 // init. The paper's prototype uses gradient descent for the orchestrator's
-// optimizer; Adam is the standard robust variant. The projector, when set,
-// is applied after every step (projected gradient descent) and to the
-// returned phases.
+// optimizer; Adam is the standard robust variant. The search runs in the
+// continuous phase space; callers snap the result onto their hardware's
+// constraint set afterwards.
 //
 // The context is checked once per iteration: cancellation or deadline
-// expiry stops the loop and returns the best-so-far feasible result with
+// expiry stops the loop and returns the best-so-far result with
 // Stopped set and Iterations < MaxIters.
 func Adam(ctx context.Context, obj Objective, init [][]float64, opt Options) Result {
 	opt = opt.withDefaults()
-	phases := project(opt.Project, ClonePhases(init))
+	phases := ClonePhases(init)
 
 	m := ZeroPhases(obj.Shape())
 	v := ZeroPhases(obj.Shape())
@@ -133,30 +120,25 @@ func Adam(ctx context.Context, obj Objective, init [][]float64, opt Options) Res
 				phases[s][k] -= opt.LR * mh / (math.Sqrt(vh) + eps)
 			}
 		}
-		phases = project(opt.Project, phases)
 	}
 	if it > opt.MaxIters {
 		it = opt.MaxIters
 	}
 
-	// Re-evaluate the best candidate after projection so the reported loss
-	// matches the returned feasible phases.
-	best = project(opt.Project, best)
 	finalLoss, _ := obj.Eval(best, false)
 	evals++
 	return Result{Phases: best, Loss: finalLoss, Iterations: it, Evals: evals, Stopped: stopped, History: history}
 }
 
-// RandomSearch samples uniformly random feasible phase sets and keeps the
-// best — the baseline every gradient method must beat, and the only method
-// available for non-differentiable constraint sets. Cancellation via ctx
-// returns the best sample drawn so far.
+// RandomSearch samples uniformly random phase sets and keeps the best —
+// the derivative-free baseline every gradient method must beat.
+// Cancellation via ctx returns the best sample drawn so far.
 func RandomSearch(ctx context.Context, obj Objective, opt Options) Result {
 	opt = opt.withDefaults()
 	rng := rand.New(rand.NewSource(opt.Seed))
 	shape := obj.Shape()
 
-	best := project(opt.Project, ZeroPhases(shape))
+	best := ZeroPhases(shape)
 	bestLoss, _ := obj.Eval(best, false)
 	history := []float64{bestLoss}
 	stopped := false
@@ -174,15 +156,13 @@ func RandomSearch(ctx context.Context, obj Objective, opt Options) Result {
 				cand[s][k] = rng.Float64() * 2 * math.Pi
 			}
 		}
-		c := project(opt.Project, cand)
-		l, _ := obj.Eval(c, false)
+		l, _ := obj.Eval(cand, false)
 		evals++
 		if l < bestLoss {
 			bestLoss = l
 			// Keep the winner and recycle the displaced buffer as the next
-			// sample's scratch (a projector may have returned a fresh slice,
-			// in which case cand is reused as-is).
-			best, cand = c, best
+			// sample's scratch.
+			best, cand = cand, best
 			history = append(history, l)
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"surfos/internal/geom"
-	"surfos/internal/hwmgr"
 	"surfos/internal/scene"
 	"surfos/internal/telemetry"
 )
@@ -59,20 +58,11 @@ type MoveResult struct {
 // the serving plan is stale until the next re-plan, which the caller
 // (typically a replan governor) schedules.
 func (o *Orchestrator) MoveTask(id int, pos geom.Vec3) (MoveResult, error) {
-	res, changed, err := o.moveTask(id, pos)
+	res, shrunk, err := o.moveTask(id, pos)
 	if err != nil {
 		return MoveResult{}, err
 	}
-
-	for _, p := range changed {
-		devs := make([]*hwmgr.Device, 0, len(p.Surfaces))
-		for _, sid := range p.Surfaces {
-			if d, err := o.HW.Surface(sid); err == nil {
-				devs = append(devs, d)
-			}
-		}
-		_ = o.applyEntries(devs, p.Entries)
-	}
+	o.reapply(shrunk)
 	return res, nil
 }
 
@@ -103,20 +93,20 @@ func (o *Orchestrator) moveTask(id int, pos geom.Vec3) (MoveResult, []*Plan, err
 	from := t.Domain
 	to := o.routeLocked(t, o.apFreqs())
 	res := MoveResult{TaskID: id, From: from, To: to, HandedOff: to != from}
-	var changed []*Plan
+	var shrunk []*Plan
 	if res.HandedOff {
 		// Release the old shard's entries while the task still belongs
 		// to it (entry release never crosses shards), then re-home. A
 		// running task drops to pending: its configurations live on the
 		// old domain's surfaces and the new domain must schedule it.
-		changed = o.releaseTaskLocked(id)
+		shrunk = o.releaseTaskLocked(id)
 		t.Domain = to
 		if t.State == TaskRunning {
 			t.State = TaskPending
 		}
 		o.emitLocked(t, telemetry.TaskHandoff)
 	}
-	return res, changed, nil
+	return res, shrunk, nil
 }
 
 // EditScene runs fn against the orchestrator's scene with every

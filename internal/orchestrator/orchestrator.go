@@ -40,13 +40,6 @@ type Options struct {
 	Cascade bool
 	// ReflOrder is the environment reflection order (default 1).
 	ReflOrder int
-	// WarmStart seeds each optimizer run from the previous committed
-	// plan's configurations (same frequency, device set, and plan-entry
-	// label) instead of from scratch — the incremental re-plan path for
-	// churn workloads. Off by default: warm-started runs converge to
-	// (slightly) different optima than cold ones, so enabling it changes
-	// plan bytes.
-	WarmStart bool
 	// MinCouplingDB is the interference-domain reachability threshold in
 	// power dB (0 selects engine.DefaultMinCouplingDB, -40).
 	MinCouplingDB float64
@@ -278,12 +271,19 @@ func (o *Orchestrator) EndTask(id int) error {
 	}
 	t.State = TaskDone
 	o.emitLocked(t, telemetry.TaskDone)
-	changed := o.releaseTaskLocked(id)
+	shrunk := o.releaseTaskLocked(id)
 	o.mu.Unlock()
+	o.reapply(shrunk)
+	return nil
+}
 
-	// Re-apply shrunken codebooks outside the lock: device drivers have
-	// their own locking and the writes may be slow (remote agents).
-	for _, p := range changed {
+// reapply pushes the shrunken codebooks releaseTaskLocked reported to
+// their devices. It runs outside o.mu — device drivers have their own
+// locking and the writes may be slow (remote agents) — which is why it
+// takes snapshots, not the live plans a concurrent release or commit
+// rewrites under the lock.
+func (o *Orchestrator) reapply(shrunk []*Plan) {
+	for _, p := range shrunk {
 		devs := make([]*hwmgr.Device, 0, len(p.Surfaces))
 		for _, sid := range p.Surfaces {
 			if d, err := o.HW.Surface(sid); err == nil {
@@ -292,15 +292,15 @@ func (o *Orchestrator) EndTask(id int) error {
 		}
 		_ = o.applyEntries(devs, p.Entries)
 	}
-	return nil
 }
 
 // releaseTaskLocked prunes a task from the committed plans: entries
 // serving only this task are dropped (plans left empty dissolve, freeing
 // their surfaces), shared joint entries lose the task from their roster.
 // Only the owning shard's plans are touched — plan-entry release never
-// crosses shards. Returns the plans whose entry set shrank and need
-// re-application; the caller holds o.mu.
+// crosses shards. Returns, for each plan whose entry set shrank, a
+// detached snapshot (surfaces and surviving entries as of this call) for
+// reapply; the caller holds o.mu.
 func (o *Orchestrator) releaseTaskLocked(id int) []*Plan {
 	t, ok := o.tasks[id]
 	if !ok {
@@ -311,7 +311,7 @@ func (o *Orchestrator) releaseTaskLocked(id int) []*Plan {
 		// No shard structure yet (task never reconciled): nothing to prune.
 		return nil
 	}
-	var keep, changed []*Plan
+	var keep, shrunk []*Plan
 	for _, p := range sh.plans {
 		entries := p.Entries[:0:0]
 		shrank := false
@@ -339,12 +339,12 @@ func (o *Orchestrator) releaseTaskLocked(id int) []*Plan {
 		if shrank {
 			p.Entries = entries
 			p.buildFrame()
-			changed = append(changed, p)
+			shrunk = append(shrunk, &Plan{Surfaces: p.Surfaces, Entries: entries})
 		}
 		keep = append(keep, p)
 	}
 	sh.plans = keep
-	return changed
+	return shrunk
 }
 
 // SetIdle parks a running task without destroying it; idle tasks release

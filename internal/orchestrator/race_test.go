@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"surfos/internal/driver"
+	"surfos/internal/scene"
 	"surfos/internal/telemetry"
 )
 
@@ -85,4 +86,63 @@ func TestSnapshotReadersRaceReconcile(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestEndTaskRacesHandoffOnSharedPlan: EndTask and a hand-off MoveTask
+// both release an entry of the same TDM plan and then re-apply the
+// shrunken codebook outside o.mu. Run with -race: the re-apply must work
+// from the snapshot taken under the lock, never from the live plan the
+// other verb is rewriting.
+func TestEndTaskRacesHandoffOnSharedPlan(t *testing.T) {
+	opts := fastOpts()
+	opts.OptIters = 2 // the plans' quality is irrelevant; their entry sets are the subject
+	r := newStripRig(t, 2, opts)
+	ctx := context.Background()
+
+	const rounds, perSide = 40, 4 // 40 × (4 ends ‖ 4 hand-offs) = 320 racing releases
+	for round := 0; round < rounds; round++ {
+		var ids []int
+		for i := 0; i < 2*perSide; i++ {
+			task, err := r.o.EnhanceLink(ctx, roomLink(0, "ue"), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, task.ID)
+		}
+		if err := r.o.ReconcileDomain(ctx, 0); err != nil {
+			t.Fatal(err)
+		}
+		if ps := r.o.Plans(); len(ps) != 1 || ps[0].Strategy != StrategyTDM || len(ps[0].Entries) != len(ids) {
+			t.Fatalf("round %d: want one TDM plan with %d entries, got %+v", round, len(ids), ps)
+		}
+
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for _, id := range ids[:perSide] {
+				if err := r.o.EndTask(id); err != nil {
+					t.Errorf("end %d: %v", id, err)
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for _, id := range ids[perSide:] {
+				if res, err := r.o.MoveTask(id, scene.RoomCenter(1)); err != nil || !res.HandedOff {
+					t.Errorf("move %d: %+v, %v (want a hand-off)", id, res, err)
+				}
+			}
+		}()
+		wg.Wait()
+
+		if ps := r.o.Plans(); len(ps) != 0 {
+			t.Fatalf("round %d: every entry was released, yet %d plan(s) remain", round, len(ps))
+		}
+		for _, id := range ids[perSide:] { // clear room 1's pending walkers
+			if err := r.o.EndTask(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 }

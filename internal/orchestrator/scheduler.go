@@ -101,7 +101,6 @@ func (o *Orchestrator) reconcileDomains(ctx context.Context, domains []int) erro
 		}
 	}
 	work := make([][]*Task, len(sel))
-	warms := make([]map[string][][]float64, len(sel))
 	for i, sh := range sel {
 		var act []*Task
 		for _, t := range o.tasks {
@@ -111,9 +110,6 @@ func (o *Orchestrator) reconcileDomains(ctx context.Context, domains []int) erro
 		}
 		sort.Slice(act, func(a, b int) bool { return act[a].ID < act[b].ID })
 		work[i] = act
-		if o.Opts.WarmStart {
-			warms[i] = warmFromPlansLocked(sh.plans)
-		}
 	}
 	o.mu.Unlock()
 
@@ -123,7 +119,7 @@ func (o *Orchestrator) reconcileDomains(ctx context.Context, domains []int) erro
 	durs := make([]time.Duration, len(sel))
 	ferr := o.eng.ForEach(ctx, len(sel), func(i int) {
 		start := time.Now()
-		results[i], commit[i], errs[i] = o.scheduleShard(ctx, sel[i], work[i], warms[i])
+		results[i], commit[i], errs[i] = o.scheduleShard(ctx, sel[i], work[i])
 		durs[i] = time.Since(start)
 	})
 
@@ -158,7 +154,7 @@ func (o *Orchestrator) reconcileDomains(ctx context.Context, domains []int) erro
 // flag mirrors the monolithic scheduler's contract: grouping failures
 // (no AP registered) leave the previous plans standing, while scheduling
 // failures commit whatever was planned.
-func (o *Orchestrator) scheduleShard(ctx context.Context, sh *shard, act []*Task, warm map[string][][]float64) ([]*Plan, bool, error) {
+func (o *Orchestrator) scheduleShard(ctx context.Context, sh *shard, act []*Task) ([]*Plan, bool, error) {
 	groups, err := o.groupTasksIn(act, sh)
 	if err != nil {
 		return nil, false, err
@@ -172,7 +168,7 @@ func (o *Orchestrator) scheduleShard(ctx context.Context, sh *shard, act []*Task
 			}
 			break
 		}
-		p, err := o.scheduleGroup(ctx, g, warm)
+		p, err := o.scheduleGroup(ctx, g)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -350,15 +346,15 @@ func (o *Orchestrator) pickStrategy(g *group) string {
 }
 
 // scheduleGroup plans one frequency group.
-func (o *Orchestrator) scheduleGroup(ctx context.Context, g *group, warm map[string][][]float64) ([]*Plan, error) {
+func (o *Orchestrator) scheduleGroup(ctx context.Context, g *group) ([]*Plan, error) {
 	strategy := o.pickStrategy(g)
 	switch strategy {
 	case StrategySDM:
-		return o.scheduleSDM(ctx, g, warm)
+		return o.scheduleSDM(ctx, g)
 	case StrategyTDM:
-		return o.scheduleTDM(ctx, g, warm)
+		return o.scheduleTDM(ctx, g)
 	default: // solo, joint
-		return o.scheduleJoint(ctx, g, strategy, warm)
+		return o.scheduleJoint(ctx, g, strategy)
 	}
 }
 
@@ -393,22 +389,14 @@ func (o *Orchestrator) specFor(freq float64, devs []*hwmgr.Device) engine.Spec {
 	}
 }
 
-// projectorFor combines device constraint projections.
-func projectorFor(devs []*hwmgr.Device) optimize.Projector {
-	return func(phases [][]float64) [][]float64 {
-		out := make([][]float64, len(phases))
-		for i, p := range phases {
-			if i < len(devs) {
-				cfg := surface.Config{Property: surface.Phase, Values: p}
-				out[i] = devs[i].Drv.Project(cfg).Values
-			} else {
-				cp := make([]float64, len(p))
-				copy(cp, p)
-				out[i] = cp
-			}
-		}
-		return out
+// projectPhases snaps each device's phase vector onto that device's
+// constraint set (granularity sharing, phase quantization, stuck pins).
+func projectPhases(devs []*hwmgr.Device, phases [][]float64) [][]float64 {
+	out := make([][]float64, len(phases))
+	for i, p := range phases {
+		out[i] = devs[i].Drv.Project(surface.Config{Property: surface.Phase, Values: p}).Values
 	}
+	return out
 }
 
 // buildObjective dispatches objective construction to the task's service
@@ -436,25 +424,12 @@ func (o *Orchestrator) taskWeight(t *Task, obj optimize.Objective) float64 {
 // quantization) once at the end: projecting every gradient step would snap
 // small steps back to the quantization grid and stall (the constraint set
 // is discrete), while a single final projection costs only the usual
-// quantization loss.
-// init seeds the run: nil means zero phases (cold start); a warm seed
-// from the previous plan makes churn re-plans incremental.
-func (o *Orchestrator) optimizeConfigs(ctx context.Context, obj optimize.Objective, devs []*hwmgr.Device, init [][]float64) optimize.Result {
-	if init == nil {
-		init = optimize.ZeroPhases(obj.Shape())
-	}
-	if ws, ok := obj.(*optimize.WeightedSum); ok {
-		// Fan the joint sum's terms across the engine pool for the
-		// duration of this run; the ordered reduction keeps pooled
-		// evaluation bit-identical to serial, so plans do not depend on
-		// the worker count.
-		ws.UsePool(o.eng)
-		defer ws.UsePool(nil)
-	}
+// quantization loss. Every run starts from zero phases.
+func (o *Orchestrator) optimizeConfigs(ctx context.Context, obj optimize.Objective, devs []*hwmgr.Device) optimize.Result {
 	start := time.Now()
-	res := optimize.Adam(ctx, obj, init, optimize.Options{MaxIters: o.Opts.OptIters})
+	res := optimize.Adam(ctx, obj, optimize.ZeroPhases(obj.Shape()), optimize.Options{MaxIters: o.Opts.OptIters})
 	o.observeOptimize(time.Since(start), res)
-	res.Phases = projectorFor(devs)(res.Phases)
+	res.Phases = projectPhases(devs, res.Phases)
 	res.Loss, _ = obj.Eval(res.Phases, false)
 	return res
 }
@@ -529,7 +504,7 @@ func (o *Orchestrator) markRunning(t *Task, res *Result) {
 // scheduleJoint handles solo and joint configuration multiplexing: one
 // shared configuration optimized for the (weighted) sum of task losses —
 // the paper's §4 "surface multitasking".
-func (o *Orchestrator) scheduleJoint(ctx context.Context, g *group, strategy string, warm map[string][][]float64) ([]*Plan, error) {
+func (o *Orchestrator) scheduleJoint(ctx context.Context, g *group, strategy string) ([]*Plan, error) {
 	spec := o.specFor(g.band.FreqHz, g.devs)
 	var terms []optimize.Objective
 	var weights []float64
@@ -559,8 +534,7 @@ func (o *Orchestrator) scheduleJoint(ctx context.Context, g *group, strategy str
 		}
 		obj = ws
 	}
-	init := warmLookup(warm, g.band.FreqHz, deviceIDs(g.devs), strategy, obj.Shape())
-	res := o.optimizeConfigs(ctx, obj, g.devs, init)
+	res := o.optimizeConfigs(ctx, obj, g.devs)
 	cfgs := optimize.PhasesToConfigs(res.Phases)
 
 	entry := PlanEntry{Label: strategy, Share: 1, Configs: map[string]surface.Config{}}
@@ -593,7 +567,7 @@ func (o *Orchestrator) scheduleJoint(ctx context.Context, g *group, strategy str
 
 // scheduleTDM gives each task its own optimized configuration and rotates
 // them as time slices weighted by priority.
-func (o *Orchestrator) scheduleTDM(ctx context.Context, g *group, warm map[string][][]float64) ([]*Plan, error) {
+func (o *Orchestrator) scheduleTDM(ctx context.Context, g *group) ([]*Plan, error) {
 	spec := o.specFor(g.band.FreqHz, g.devs)
 	p := &Plan{
 		FreqHz:   g.band.FreqHz,
@@ -610,8 +584,7 @@ func (o *Orchestrator) scheduleTDM(ctx context.Context, g *group, warm map[strin
 			o.failTask(t, err)
 			continue
 		}
-		init := warmLookup(warm, g.band.FreqHz, p.Surfaces, fmt.Sprintf("task-%d", t.ID), obj.Shape())
-		res := o.optimizeConfigs(ctx, obj, g.devs, init)
+		res := o.optimizeConfigs(ctx, obj, g.devs)
 		cfgs := optimize.PhasesToConfigs(res.Phases)
 		entry := PlanEntry{
 			Label:   fmt.Sprintf("task-%d", t.ID),
@@ -646,7 +619,7 @@ func (o *Orchestrator) scheduleTDM(ctx context.Context, g *group, warm map[strin
 
 // scheduleSDM partitions surfaces among tasks by proximity to the task's
 // spatial target and optimizes each partition independently.
-func (o *Orchestrator) scheduleSDM(ctx context.Context, g *group, warm map[string][][]float64) ([]*Plan, error) {
+func (o *Orchestrator) scheduleSDM(ctx context.Context, g *group) ([]*Plan, error) {
 	assign := o.assignSurfaces(g)
 	var plans []*Plan
 	var firstErr error
@@ -657,7 +630,7 @@ func (o *Orchestrator) scheduleSDM(ctx context.Context, g *group, warm map[strin
 			continue
 		}
 		sub := &group{band: g.band, tasks: []*Task{t}, devs: devs}
-		ps, err := o.scheduleJoint(ctx, sub, StrategySDM, warm)
+		ps, err := o.scheduleJoint(ctx, sub, StrategySDM)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err

@@ -44,7 +44,7 @@ func TestScheduleTDMSingleTask(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := liveGroup(t, r, task.ID)
-	plans, err := r.o.scheduleTDM(context.Background(), g, nil)
+	plans, err := r.o.scheduleTDM(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestScheduleSDMSingleTask(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := liveGroup(t, r, task.ID)
-	plans, err := r.o.scheduleSDM(context.Background(), g, nil)
+	plans, err := r.o.scheduleSDM(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,10 +83,10 @@ func TestScheduleSDMSingleTask(t *testing.T) {
 func TestScheduleTDMEmptyGroup(t *testing.T) {
 	r := newRig(t, fastOpts(), driver.ModelNRSurface)
 	g := liveGroup(t, r)
-	if _, err := r.o.scheduleTDM(context.Background(), g, nil); !errors.Is(err, ErrNoSchedulableTasks) {
+	if _, err := r.o.scheduleTDM(context.Background(), g); !errors.Is(err, ErrNoSchedulableTasks) {
 		t.Errorf("empty TDM group err = %v, want ErrNoSchedulableTasks", err)
 	}
-	if _, err := r.o.scheduleJoint(context.Background(), g, StrategyJoint, nil); !errors.Is(err, ErrNoSchedulableTasks) {
+	if _, err := r.o.scheduleJoint(context.Background(), g, StrategyJoint); !errors.Is(err, ErrNoSchedulableTasks) {
 		t.Errorf("empty joint group err = %v, want ErrNoSchedulableTasks", err)
 	}
 }

@@ -78,20 +78,6 @@ func checksum(seq uint64, kind string, data []byte) uint32 {
 	return h.Sum32()
 }
 
-// SyncPolicy selects when the WAL calls fsync.
-type SyncPolicy int
-
-const (
-	// SyncEveryRecord fsyncs after each append: a record handed to Append
-	// survives a machine crash. This is the default — the control plane
-	// journals tens of records per reconcile, not thousands per second.
-	SyncEveryRecord SyncPolicy = iota
-	// SyncOnClose only flushes to the OS per record and fsyncs at Close/
-	// Snapshot: a *process* crash loses nothing, a machine crash may lose
-	// the tail (which recovery then treats as truncation).
-	SyncOnClose
-)
-
 // Store is an open state directory: the append handle on the WAL plus the
 // recovery bookkeeping. Methods are not safe for concurrent use; the
 // Journal serializes all writers.
@@ -99,8 +85,7 @@ type Store struct {
 	dir      string
 	f        *os.File
 	w        *bufio.Writer
-	seq      uint64 // last sequence number written or recovered
-	policy   SyncPolicy
+	seq      uint64    // last sequence number written or recovered
 	walBytes int64     // bytes of good WAL records on disk
 	snapTime time.Time // when the current snapshot was written (zero: none)
 }
@@ -161,9 +146,6 @@ func Open(dir string) (*Store, *State, error) {
 	return s, st, nil
 }
 
-// SetSyncPolicy selects the fsync cadence (default SyncEveryRecord).
-func (s *Store) SetSyncPolicy(p SyncPolicy) { s.policy = p }
-
 // Seq returns the last sequence number written or recovered.
 func (s *Store) Seq() uint64 { return s.seq }
 
@@ -171,7 +153,9 @@ func (s *Store) Seq() uint64 { return s.seq }
 func (s *Store) Dir() string { return s.dir }
 
 // Append marshals data and writes one WAL record, flushing to the OS and
-// (per policy) fsyncing before returning its sequence number.
+// fsyncing before returning its sequence number: a record handed to
+// Append survives a machine crash. The control plane journals tens of
+// records per reconcile, not thousands per second.
 func (s *Store) Append(kind string, data any) (uint64, error) {
 	rec, err := s.AppendFull(kind, data)
 	return rec.Seq, err
@@ -234,10 +218,8 @@ func (s *Store) writeLine(rec Record) error {
 	if err := s.w.Flush(); err != nil {
 		return err
 	}
-	if s.policy == SyncEveryRecord {
-		if err := s.f.Sync(); err != nil {
-			return err
-		}
+	if err := s.f.Sync(); err != nil {
+		return err
 	}
 	s.seq = rec.Seq
 	s.walBytes += int64(len(line)) + 1
