@@ -69,13 +69,15 @@ test-failover:
 # at the fault seeds: the discrete-event scenario engine, per-region
 # TxContext invalidation (wall thrash in one room leaves other rooms'
 # traces hot), governed re-plan coalescing with bounded staleness, and
-# cross-domain handoff with zero task loss. The mobility experiment's
-# per-seed golden (byte-identical replay) runs inside the same pass.
+# cross-domain handoff with zero task loss, plus the plan-frame and
+# plan-bytes pins of the one plan builder the handoffs re-plan through.
+# The mobility experiment's per-seed golden (byte-identical replay) runs
+# inside the same pass.
 test-mobility:
 	@for seed in $(FAULT_SEEDS); do \
 		echo "== mobility suite, seed $$seed =="; \
 		SURFOS_FAULT_SEED=$$seed $(GO) test -race -count=1 \
-			-run 'Mobility|Governor|MoveTask|Carry|Thrash|Edit|Handoff|Poisson|Orders|Clamps|StopsOnFirstError' \
+			-run 'Mobility|Governor|MoveTask|Carry|Thrash|Edit|Handoff|Poisson|Orders|Clamps|StopsOnFirstError|Frame|PlanBytes' \
 			./internal/scenario ./internal/scene ./internal/engine \
 			./internal/orchestrator ./internal/ctrlproto ./internal/monitor \
 			./internal/experiments ./cmd/... || exit 1; \
@@ -92,7 +94,8 @@ test:
 
 # The race target is CI's concurrency gate: the engine worker pool, the
 # orchestrator, and the telemetry/monitor path all run under the detector,
-# in shuffled order (the same command ci.yml runs).
+# in shuffled order. ci.yml runs its gates through these targets, so this
+# file holds the one list of commands.
 race:
 	$(GO) test -race -shuffle=on ./...
 

@@ -104,27 +104,6 @@ func exitCode(err error) int {
 
 var errUsage = errors.New("usage: surfctl -addr HOST:PORT hello|spec|active|select N|zero|tasks [--watch]|submit ...|end ID|idle ID|resume ID|move ID X,Y,Z|demand TEXT|health")
 
-// printTask renders one wire task row. Tenant and domain print only when
-// non-default, keeping single-tenant single-domain output byte-identical
-// to older releases.
-func printTask(out io.Writer, t ctrlproto.TaskInfo) {
-	fmt.Fprintf(out, "task %d kind=%s prio=%d state=%s", t.ID, t.Kind, t.Priority, t.State)
-	if t.Tenant != "" && t.Tenant != orchestrator.DefaultTenant {
-		fmt.Fprintf(out, " tenant=%s", t.Tenant)
-	}
-	if t.Domain != 0 {
-		fmt.Fprintf(out, " domain=%d", t.Domain)
-	}
-	if t.HasResult {
-		fmt.Fprintf(out, " %s=%.2f share=%.2f strategy=%s surfaces=%v",
-			t.MetricName, t.Metric, t.Share, t.Strategy, t.Surfaces)
-	}
-	if t.Err != "" {
-		fmt.Fprintf(out, " err=%q", t.Err)
-	}
-	fmt.Fprintln(out)
-}
-
 // parseVec parses "x,y,z" into a wire position.
 func parseVec(s string) ([3]float64, error) {
 	var v [3]float64
@@ -307,7 +286,7 @@ func runCmd(ctx context.Context, c *ctrlproto.Client, addrs []string, args []str
 			fmt.Fprintln(out, "no tasks")
 		}
 		for _, t := range tasks {
-			printTask(out, t)
+			ctrlproto.RenderTask(out, t)
 		}
 		if !watch {
 			return nil
@@ -323,7 +302,7 @@ func runCmd(ctx context.Context, c *ctrlproto.Client, addrs []string, args []str
 		if err != nil {
 			return err
 		}
-		printTask(out, t)
+		ctrlproto.RenderTask(out, t)
 		return nil
 
 	case "end", "idle", "resume":
@@ -374,9 +353,9 @@ func runCmd(ctx context.Context, c *ctrlproto.Client, addrs []string, args []str
 		if len(reply.Devices) == 0 {
 			fmt.Fprintln(out, "no devices")
 		}
-		ctrlproto.RenderDeviceHealth(out, reply.Devices, healthStyle)
+		ctrlproto.RenderDeviceHealth(out, reply.Devices)
 		if reply.HasControl {
-			ctrlproto.RenderControlHealth(out, reply.Control, healthStyle)
+			ctrlproto.RenderControlHealth(out, reply.Control)
 		}
 		return nil
 
@@ -392,20 +371,11 @@ func runCmd(ctx context.Context, c *ctrlproto.Client, addrs []string, args []str
 			fmt.Fprintf(out, "call: %s\n", call)
 		}
 		for _, t := range r.Tasks {
-			printTask(out, t)
+			ctrlproto.RenderTask(out, t)
 		}
 		return nil
 	}
 	return fmt.Errorf("%w (unknown command %q)", errUsage, args[0])
-}
-
-// healthStyle is surfctl's rendering of the shared health formatter:
-// device lines carry the "device " prefix and stuck-element indices, and
-// the journal line (shown only when it has content) includes the error.
-var healthStyle = ctrlproto.HealthRenderOptions{
-	DevicePrefix: "device ",
-	StuckIndices: true,
-	JournalErr:   true,
 }
 
 // Watch reconnect backoff: the stream survives daemon restarts, retrying

@@ -678,20 +678,18 @@ func (d *daemon) handle(line string) (string, bool) {
 		var b strings.Builder
 		// Durability loss is a control-plane health fact: a journal that
 		// stopped writing means new tasks will not survive a restart.
-		journal := d.getJournal()
-		if journal != nil {
+		if journal := d.getJournal(); journal != nil {
 			if err := journal.Err(); err != nil {
 				fmt.Fprintf(&b, "journal: FAILED, new tasks are not durable: %v\n", err)
 			}
 		}
 		// Device and control-plane sections share their renderer with
-		// surfctl (healthrender.go); the zero options are this text style.
-		ctrlproto.RenderDeviceHealth(&b, ctrlproto.HealthInfos(d.hw.HealthAll()), ctrlproto.HealthRenderOptions{})
+		// surfctl (healthrender.go).
+		ctrlproto.RenderDeviceHealth(&b, ctrlproto.HealthInfos(d.hw.HealthAll()))
 		if b.Len() == 0 {
 			return "no devices", true
 		}
-		ctrlproto.RenderControlHealth(&b, d.controlHealth(),
-			ctrlproto.HealthRenderOptions{JournalAlways: journal != nil})
+		ctrlproto.RenderControlHealth(&b, d.controlHealth())
 		return strings.TrimRight(b.String(), "\n"), true
 
 	case "hazards":
@@ -751,26 +749,14 @@ func (d *daemon) handle(line string) (string, bool) {
 		// lifecycle bus (see RunTaskEvents in newDaemon) — no manual
 		// Expect calls here.
 		for _, t := range tasks {
-			if t.Result != nil {
-				fmt.Fprintf(&b, "task %d %s: %s, %s=%.2f (share %.2f)\n",
-					t.ID, t.Kind, t.State, t.Result.MetricName, t.Result.Metric, t.Result.Share)
-			} else {
-				fmt.Fprintf(&b, "task %d %s: %s\n", t.ID, t.Kind, t.State)
-			}
+			ctrlproto.RenderTask(&b, ctrlproto.TaskInfoOf(t))
 		}
 		return strings.TrimRight(b.String(), "\n"), true
 
 	case "tasks":
 		var b strings.Builder
 		for _, t := range d.orch.Tasks() {
-			fmt.Fprintf(&b, "task %d kind=%s prio=%d state=%s", t.ID, t.Kind, t.Priority, t.State)
-			if t.Result != nil {
-				fmt.Fprintf(&b, " %s=%.2f strategy=%s", t.Result.MetricName, t.Result.Metric, t.Result.Strategy)
-			}
-			if t.Err != nil {
-				fmt.Fprintf(&b, " err=%v", t.Err)
-			}
-			b.WriteByte('\n')
+			ctrlproto.RenderTask(&b, ctrlproto.TaskInfoOf(t))
 		}
 		if b.Len() == 0 {
 			return "no tasks", true

@@ -190,9 +190,11 @@ func TestDaemonNorthboundFramedClient(t *testing.T) {
 
 // TestTextAndFramedNorthboundAgree runs one script — demand, idle, resume,
 // move, end — against a fresh daemon through each protocol and requires
-// the same task table after every step, the same lifecycle-event sequence,
-// and the same standby rejection of every step: both protocols are parsers
-// over the same CtrlAgent verbs.
+// the same task table after every step — the text `tasks` reply byte for
+// byte what surfctl prints for the framed ListTasks —, the same
+// lifecycle-event sequence, and the same standby rejection of every step:
+// both protocols are parsers over the same CtrlAgent verbs and print
+// through the same renderer.
 func TestTextAndFramedNorthboundAgree(t *testing.T) {
 	const demand = "please stream a movie on the tv tonight"
 	script := []struct {
@@ -248,6 +250,17 @@ func TestTextAndFramedNorthboundAgree(t *testing.T) {
 				t.Fatalf("%q rejected by a leader (framed=%v)", script[i].text, framed)
 			}
 			table, _ := d.handle("tasks")
+			if framed {
+				tasks, err := c.ListTasks(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var b strings.Builder
+				for _, task := range tasks {
+					ctrlproto.RenderTask(&b, task)
+				}
+				table = strings.TrimRight(b.String(), "\n")
+			}
 			tables = append(tables, table)
 		}
 		d.standby.Store(true)
@@ -370,7 +383,7 @@ func TestDaemonFaultInjectionAndHealth(t *testing.T) {
 	// One heartbeat pass picks up the injected stuck-element masks.
 	d.hw.ProbeAll()
 	reply, _ = d.handle("health")
-	if !strings.Contains(reply, "state=degraded") || !strings.Contains(reply, "stuck=6") {
+	if !strings.Contains(reply, "state=degraded") || !strings.Contains(reply, "stuck=6[") {
 		t.Errorf("health after probe: %q", reply)
 	}
 }
@@ -396,7 +409,7 @@ func TestDaemonSelfHealsDeadDevice(t *testing.T) {
 		return strings.Contains(reply, "strategy=") && !strings.Contains(reply, devs[0].ID)
 	})
 	reply, _ := d.handle("health")
-	if !strings.Contains(reply, devs[0].ID+" state=dead") {
+	if !strings.Contains(reply, "device "+devs[0].ID+" state=dead") {
 		t.Errorf("health after death: %q", reply)
 	}
 }

@@ -77,7 +77,7 @@ func TestDaemonStateRecoveryAcrossRestart(t *testing.T) {
 	// Health was rehydrated, not re-probed: the dead device is already
 	// excluded from the recovery plan.
 	reply, _ = d2.handle("health")
-	if !strings.Contains(reply, devs[0].ID+" state=dead") {
+	if !strings.Contains(reply, "device "+devs[0].ID+" state=dead") {
 		t.Errorf("device death not rehydrated: %q", reply)
 	}
 	reply, _ = d2.handle("plans")

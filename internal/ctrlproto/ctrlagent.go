@@ -212,8 +212,9 @@ func (a *CtrlAgent) reconcileTask(taskID int) {
 	a.reconcile()
 }
 
-// taskInfo converts an orchestrator task snapshot to its wire view.
-func taskInfo(t *orchestrator.Task) TaskInfo {
+// TaskInfoOf converts an orchestrator task snapshot to its wire view,
+// shared by the control agent's replies and the daemon's text replies.
+func TaskInfoOf(t *orchestrator.Task) TaskInfo {
 	m := TaskInfo{
 		ID:       uint32(t.ID),
 		Kind:     t.Kind.String(),
@@ -347,7 +348,7 @@ func (a *CtrlAgent) handle(conn net.Conn, st *connState, f Frame) Frame {
 	case MsgListTasks:
 		var reply TasksReply
 		for _, t := range a.Orch.Tasks() {
-			reply.Tasks = append(reply.Tasks, taskInfo(t))
+			reply.Tasks = append(reply.Tasks, TaskInfoOf(t))
 		}
 		return Frame{Type: MsgTasksReply, Corr: f.Corr, Payload: reply.Encode()}
 
@@ -389,7 +390,7 @@ func (a *CtrlAgent) handle(conn net.Conn, st *connState, f Frame) Frame {
 		if err != nil {
 			return fail(err)
 		}
-		return Frame{Type: MsgTaskReply, Corr: f.Corr, Payload: TaskReply{Task: taskInfo(t)}.Encode()}
+		return Frame{Type: MsgTaskReply, Corr: f.Corr, Payload: TaskReply{Task: TaskInfoOf(t)}.Encode()}
 
 	case MsgOpenStream:
 		if a.Events == nil {
@@ -457,7 +458,7 @@ func (a *CtrlAgent) handle(conn net.Conn, st *connState, f Frame) Frame {
 			reply.Calls = append(reply.Calls, c.String())
 		}
 		for _, t := range tasks {
-			reply.Tasks = append(reply.Tasks, taskInfo(t))
+			reply.Tasks = append(reply.Tasks, TaskInfoOf(t))
 		}
 		return Frame{Type: MsgDemandReply, Corr: f.Corr, Payload: reply.Encode()}
 

@@ -6,27 +6,32 @@ import (
 	"time"
 
 	"surfos/internal/hwmgr"
+	"surfos/internal/orchestrator"
 )
 
-// Health rendering shared by every operator-facing surface: the daemon's
-// text-mode `health` command and surfctl's `health` subcommand emit the
-// same facts with small cosmetic differences (line prefix, stuck-element
-// detail, journal verbosity). One renderer plus an options struct keeps
-// the two from drifting apart.
+// Operator rendering: the daemon's text-mode `tasks`, `demand` and
+// `health` replies and surfctl's subcommands print the same task and
+// health lines, because both call the renderers below.
 
-// HealthRenderOptions selects between the operator-facing health formats.
-// The zero value is the daemon text-mode style.
-type HealthRenderOptions struct {
-	// DevicePrefix is prepended to every device line ("device " in
-	// surfctl; empty in the daemon's text mode).
-	DevicePrefix string
-	// StuckIndices appends the frozen-element indices after the count.
-	StuckIndices bool
-	// JournalAlways prints the journal line even when all fields are zero
-	// (the daemon prints it whenever a journal is attached).
-	JournalAlways bool
-	// JournalErr appends err=... to the journal line when non-empty.
-	JournalErr bool
+// RenderTask writes one task row. Tenant and domain print only when
+// non-default, keeping single-tenant single-domain output byte-identical
+// to older releases.
+func RenderTask(w io.Writer, t TaskInfo) {
+	fmt.Fprintf(w, "task %d kind=%s prio=%d state=%s", t.ID, t.Kind, t.Priority, t.State)
+	if t.Tenant != "" && t.Tenant != orchestrator.DefaultTenant {
+		fmt.Fprintf(w, " tenant=%s", t.Tenant)
+	}
+	if t.Domain != 0 {
+		fmt.Fprintf(w, " domain=%d", t.Domain)
+	}
+	if t.HasResult {
+		fmt.Fprintf(w, " %s=%.2f share=%.2f strategy=%s surfaces=%v",
+			t.MetricName, t.Metric, t.Share, t.Strategy, t.Surfaces)
+	}
+	if t.Err != "" {
+		fmt.Fprintf(w, " err=%q", t.Err)
+	}
+	fmt.Fprintln(w)
 }
 
 // HealthInfos converts hardware-manager health snapshots to their wire
@@ -53,14 +58,11 @@ func HealthInfos(hs []hwmgr.DeviceHealth) []HealthInfo {
 // RenderDeviceHealth writes one line per device. Callers handle the
 // empty-set message themselves (the two surfaces disagree on what follows
 // it).
-func RenderDeviceHealth(w io.Writer, devs []HealthInfo, o HealthRenderOptions) {
+func RenderDeviceHealth(w io.Writer, devs []HealthInfo) {
 	for _, d := range devs {
-		fmt.Fprintf(w, "%s%s state=%s", o.DevicePrefix, d.DeviceID, d.State)
+		fmt.Fprintf(w, "device %s state=%s", d.DeviceID, d.State)
 		if len(d.StuckElements) > 0 {
-			fmt.Fprintf(w, " stuck=%d", len(d.StuckElements))
-			if o.StuckIndices {
-				fmt.Fprintf(w, "%v", d.StuckElements)
-			}
+			fmt.Fprintf(w, " stuck=%d%v", len(d.StuckElements), d.StuckElements)
 		}
 		if d.ConsecutiveFailures > 0 || d.TotalFailures > 0 {
 			fmt.Fprintf(w, " failures=%d/%d", d.ConsecutiveFailures, d.TotalFailures)
@@ -74,8 +76,8 @@ func RenderDeviceHealth(w io.Writer, devs []HealthInfo, o HealthRenderOptions) {
 
 // RenderControlHealth writes the control plane's own health section:
 // per-shard load and latency, tenant admission accounting, telemetry
-// backpressure, and journal progress.
-func RenderControlHealth(w io.Writer, ch ControlHealthInfo, o HealthRenderOptions) {
+// backpressure, and journal progress (once there is any).
+func RenderControlHealth(w io.Writer, ch ControlHealthInfo) {
 	for _, s := range ch.Shards {
 		fmt.Fprintf(w, "shard %d surfaces=%d tasks=%d running=%d reconciles=%d last=%s\n",
 			s.Domain, len(s.Surfaces), s.Tasks, s.Running, s.Reconciles,
@@ -91,9 +93,9 @@ func RenderControlHealth(w io.Writer, ch ControlHealthInfo, o HealthRenderOption
 	if ch.BusDropped > 0 {
 		fmt.Fprintf(w, "bus dropped=%d\n", ch.BusDropped)
 	}
-	if o.JournalAlways || ch.JournalSeq > 0 || ch.JournalLag > 0 || ch.JournalErr != "" {
+	if ch.JournalSeq > 0 || ch.JournalLag > 0 || ch.JournalErr != "" {
 		fmt.Fprintf(w, "journal seq=%d lag=%d", ch.JournalSeq, ch.JournalLag)
-		if o.JournalErr && ch.JournalErr != "" {
+		if ch.JournalErr != "" {
 			fmt.Fprintf(w, " err=%q", ch.JournalErr)
 		}
 		fmt.Fprintln(w)

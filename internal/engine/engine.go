@@ -397,7 +397,7 @@ func editAffects(spec Spec, tx geom.Vec3, freqHz float64, box geom.AABB) bool {
 	for _, p := range probeAABB(box) {
 		for _, t := range targets {
 			g := spec.Scene.SegmentGain(p, t, freqHz)
-			if g > 0 && 20*math.Log10(g) >= DefaultMinCouplingDB {
+			if g > 0 && 20*math.Log10(g) >= minCouplingDB {
 				return true
 			}
 		}

@@ -22,16 +22,18 @@ import (
 // pointer plus its geometry revision, so moving a wall recomputes the
 // domain structure and an unchanged scene never pays for it twice.
 
-// DefaultMinCouplingDB is the power threshold (dB, relative to a clear
-// path) below which two surfaces are considered mutually unreachable.
-// -40 dB cleanly separates concrete-divided rooms at mmWave while
-// keeping glass- and drywall-separated spaces in one domain.
-const DefaultMinCouplingDB = -40.0
+// minCouplingDB is the power threshold (dB, relative to a clear path)
+// below which two surfaces are considered mutually unreachable: they share
+// a domain when the wall attenuation between them (directly, or via a
+// shared probe point) stays above it. -40 dB cleanly separates
+// concrete-divided rooms at mmWave while keeping glass- and
+// drywall-separated spaces in one domain.
+const minCouplingDB = -40.0
 
-// DefaultProbeStep is the region probe-grid spacing (meters) used to
-// detect surfaces that share a service area without seeing each other
-// directly (e.g. two panels around a corner serving the same room).
-const DefaultProbeStep = 1.0
+// probeStep is the region probe-grid spacing (meters) used to detect
+// surfaces that share a service area without seeing each other directly
+// (e.g. two panels around a corner serving the same room).
+const probeStep = 1.0
 
 // DomainSpec describes one partition computation.
 type DomainSpec struct {
@@ -44,14 +46,6 @@ type DomainSpec struct {
 	// registered AP bands); the most permissive band decides. Empty means
 	// no band information — everything lands in one conservative domain.
 	FreqsHz []float64
-	// MinCouplingDB is the reachability threshold in power dB (0 selects
-	// DefaultMinCouplingDB). Two surfaces share a domain when the wall
-	// attenuation between them (directly, or via a shared probe point)
-	// stays above it.
-	MinCouplingDB float64
-	// ProbeStep is the region probe-grid spacing in meters (0 selects
-	// DefaultProbeStep).
-	ProbeStep float64
 }
 
 // Partition is the interference-domain decomposition of a surface set:
@@ -85,8 +79,6 @@ type partKey struct {
 	rev   uint64
 	surfs string // "\x00"-joined surface pointer identities
 	freqs string
-	minDB float64
-	step  float64
 }
 
 func (sp DomainSpec) key() partKey {
@@ -101,8 +93,6 @@ func (sp DomainSpec) key() partKey {
 		rev:   sp.Scene.Revision(),
 		surfs: surfacesID(sp.Surfaces),
 		freqs: fid,
-		minDB: sp.MinCouplingDB,
-		step:  sp.ProbeStep,
 	}
 }
 
@@ -111,12 +101,6 @@ func (sp DomainSpec) key() partKey {
 func (e *Engine) Partition(spec DomainSpec) (*Partition, error) {
 	if spec.Scene == nil {
 		return nil, fmt.Errorf("engine: partition spec has nil scene")
-	}
-	if spec.MinCouplingDB == 0 {
-		spec.MinCouplingDB = DefaultMinCouplingDB
-	}
-	if spec.ProbeStep <= 0 {
-		spec.ProbeStep = DefaultProbeStep
 	}
 	k := spec.key()
 	e.mu.Lock()
@@ -172,7 +156,7 @@ func (sp DomainSpec) probePoints() []geom.Vec3 {
 		if z >= r.Box.Max.Z {
 			z = (r.Box.Min.Z + r.Box.Max.Z) / 2
 		}
-		pts = append(pts, r.GridPoints(sp.ProbeStep, z)...)
+		pts = append(pts, r.GridPoints(probeStep, z)...)
 	}
 	return pts
 }
@@ -222,7 +206,7 @@ func (sp DomainSpec) compute() *Partition {
 	// the intervening walls.
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			if sp.couplingDB(centers[i], centers[j]) >= sp.MinCouplingDB {
+			if sp.couplingDB(centers[i], centers[j]) >= minCouplingDB {
 				union(i, j)
 			}
 		}
@@ -232,7 +216,7 @@ func (sp DomainSpec) compute() *Partition {
 	for _, pt := range sp.probePoints() {
 		first := -1
 		for i := 0; i < n; i++ {
-			if sp.couplingDB(centers[i], pt) < sp.MinCouplingDB {
+			if sp.couplingDB(centers[i], pt) < minCouplingDB {
 				continue
 			}
 			if first < 0 {

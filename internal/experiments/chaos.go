@@ -7,7 +7,6 @@ import (
 
 	"surfos/internal/driver"
 	"surfos/internal/em"
-	"surfos/internal/geom"
 	"surfos/internal/hwmgr"
 	"surfos/internal/orchestrator"
 	"surfos/internal/scene"
@@ -113,9 +112,7 @@ func RunChaos(ctx context.Context, p Profile) (*ChaosResult, error) {
 		}
 	}
 
-	task, err := orch.EnhanceLink(ctx, orchestrator.LinkGoal{
-		Endpoint: "tv", Pos: geom.V(2.5, 5.5, scene.EvalHeight),
-	}, 1)
+	task, err := pl.tvLink(ctx)
 	if err != nil {
 		return nil, err
 	}

@@ -13,9 +13,6 @@ import (
 	"time"
 
 	"surfos/internal/ctrlproto"
-	"surfos/internal/geom"
-	"surfos/internal/orchestrator"
-	"surfos/internal/scene"
 	"surfos/internal/store"
 )
 
@@ -172,39 +169,7 @@ func RunFailover(ctx context.Context, p Profile) (*FailoverResult, error) {
 
 	// --- workload: the restart experiment's mix (two running, one idled,
 	// one ended), every record shipped as it is journaled ---
-	if _, err := pl.orch.EnhanceLink(ctx, orchestrator.LinkGoal{
-		Endpoint: "tv", Pos: geom.V(2.5, 5.5, scene.EvalHeight),
-	}, 1); err != nil {
-		return nil, err
-	}
-	if _, err := pl.orch.OptimizeCoverage(ctx, orchestrator.CoverageGoal{
-		Region: scene.RegionTargetRoom,
-	}, 1); err != nil {
-		return nil, err
-	}
-	idleTask, err := pl.orch.EnhanceLink(ctx, orchestrator.LinkGoal{
-		Endpoint: "laptop", Pos: geom.V(3.0, 5.0, scene.EvalHeight),
-	}, 1)
-	if err != nil {
-		return nil, err
-	}
-	endedTask, err := pl.orch.EnhanceLink(ctx, orchestrator.LinkGoal{
-		Endpoint: "phone", Pos: geom.V(5.0, 6.0, scene.EvalHeight),
-	}, 2)
-	if err != nil {
-		return nil, err
-	}
-	out.IdleID, out.EndedID = idleTask.ID, endedTask.ID
-	if err := pl.orch.Reconcile(ctx); err != nil {
-		return nil, err
-	}
-	if err := pl.orch.SetIdle(idleTask.ID, true); err != nil {
-		return nil, err
-	}
-	if err := pl.orch.EndTask(endedTask.ID); err != nil {
-		return nil, err
-	}
-	if err := pl.orch.Reconcile(ctx); err != nil {
+	if out.IdleID, out.EndedID, err = pl.runMix(ctx); err != nil {
 		return nil, err
 	}
 	if err := pl.drainInto(journal); err != nil {

@@ -89,6 +89,50 @@ func newRestartPlane(p Profile) (*restartPlane, error) {
 	return &restartPlane{hw: hw, orch: orch, ch: ch, unsub: unsub}, nil
 }
 
+// tvLink files the resident link every apartment experiment opens with.
+func (pl *restartPlane) tvLink(ctx context.Context) (*orchestrator.Task, error) {
+	return pl.orch.EnhanceLink(ctx, orchestrator.LinkGoal{
+		Endpoint: "tv", Pos: geom.V(2.5, 5.5, scene.EvalHeight),
+	}, 1)
+}
+
+// runMix is the scripted workload the restart and failover experiments
+// journal before the kill: the tv link and target-room coverage stay
+// running, a laptop link is idled and a phone link ended, with a reconcile
+// before and after. It returns the idled and ended task IDs.
+func (pl *restartPlane) runMix(ctx context.Context) (idleID, endedID int, err error) {
+	if _, err := pl.tvLink(ctx); err != nil {
+		return 0, 0, err
+	}
+	if _, err := pl.orch.OptimizeCoverage(ctx, orchestrator.CoverageGoal{
+		Region: scene.RegionTargetRoom,
+	}, 1); err != nil {
+		return 0, 0, err
+	}
+	idleTask, err := pl.orch.EnhanceLink(ctx, orchestrator.LinkGoal{
+		Endpoint: "laptop", Pos: geom.V(3.0, 5.0, scene.EvalHeight),
+	}, 1)
+	if err != nil {
+		return 0, 0, err
+	}
+	endedTask, err := pl.orch.EnhanceLink(ctx, orchestrator.LinkGoal{
+		Endpoint: "phone", Pos: geom.V(5.0, 6.0, scene.EvalHeight),
+	}, 2)
+	if err != nil {
+		return 0, 0, err
+	}
+	if err := pl.orch.Reconcile(ctx); err != nil {
+		return 0, 0, err
+	}
+	if err := pl.orch.SetIdle(idleTask.ID, true); err != nil {
+		return 0, 0, err
+	}
+	if err := pl.orch.EndTask(endedTask.ID); err != nil {
+		return 0, 0, err
+	}
+	return idleTask.ID, endedTask.ID, pl.orch.Reconcile(ctx)
+}
+
 // drainInto feeds every pending bus event to the journal, synchronously —
 // the daemon does the same through Journal.Run, but the experiment keeps
 // the timeline deterministic by never letting events queue across steps.
@@ -161,41 +205,7 @@ func RunRestart(ctx context.Context, p Profile) (*RestartResult, error) {
 	journal := store.NewJournal(st, state)
 
 	out := &RestartResult{Profile: p}
-	link1, err := pl.orch.EnhanceLink(ctx, orchestrator.LinkGoal{
-		Endpoint: "tv", Pos: geom.V(2.5, 5.5, scene.EvalHeight),
-	}, 1)
-	if err != nil {
-		return nil, err
-	}
-	_ = link1
-	if _, err := pl.orch.OptimizeCoverage(ctx, orchestrator.CoverageGoal{
-		Region: scene.RegionTargetRoom,
-	}, 1); err != nil {
-		return nil, err
-	}
-	idleTask, err := pl.orch.EnhanceLink(ctx, orchestrator.LinkGoal{
-		Endpoint: "laptop", Pos: geom.V(3.0, 5.0, scene.EvalHeight),
-	}, 1)
-	if err != nil {
-		return nil, err
-	}
-	endedTask, err := pl.orch.EnhanceLink(ctx, orchestrator.LinkGoal{
-		Endpoint: "phone", Pos: geom.V(5.0, 6.0, scene.EvalHeight),
-	}, 2)
-	if err != nil {
-		return nil, err
-	}
-	out.IdleID, out.EndedID = idleTask.ID, endedTask.ID
-	if err := pl.orch.Reconcile(ctx); err != nil {
-		return nil, err
-	}
-	if err := pl.orch.SetIdle(idleTask.ID, true); err != nil {
-		return nil, err
-	}
-	if err := pl.orch.EndTask(endedTask.ID); err != nil {
-		return nil, err
-	}
-	if err := pl.orch.Reconcile(ctx); err != nil {
+	if out.IdleID, out.EndedID, err = pl.runMix(ctx); err != nil {
 		return nil, err
 	}
 	if err := pl.drainInto(journal); err != nil {

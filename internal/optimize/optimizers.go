@@ -14,11 +14,14 @@ import (
 // Seed 0 is a fixed seed like any other value — runs are never time-seeded,
 // so repeated invocations with identical inputs produce identical results.
 type Options struct {
-	MaxIters  int     // Adam steps / RandomSearch samples, default 200; values ≤ 0 use the default
-	LR        float64 // Adam learning rate (radians), default 0.3; ≤ 0 uses the default
-	Tolerance float64 // Adam stops when |Δloss| < Tolerance for 10 iters, default 1e-9; ≤ 0 uses the default
-	Seed      int64   // RandomSearch RNG seed; 0 is deterministic, not time-seeded
+	MaxIters int     // Adam steps / RandomSearch samples, default 200; values ≤ 0 use the default
+	LR       float64 // Adam learning rate (radians), default 0.3; ≤ 0 uses the default
+	Seed     int64   // RandomSearch RNG seed; 0 is deterministic, not time-seeded
 }
+
+// tolerance is Adam's convergence rule: it stops once |Δloss| stays below
+// this for 10 iterations.
+const tolerance = 1e-9
 
 func (o Options) withDefaults() Options {
 	if o.MaxIters <= 0 {
@@ -26,9 +29,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.LR <= 0 {
 		o.LR = 0.3
-	}
-	if o.Tolerance <= 0 {
-		o.Tolerance = 1e-9
 	}
 	return o
 }
@@ -98,7 +98,7 @@ func Adam(ctx context.Context, obj Objective, init [][]float64, opt Options) Res
 		}
 		history = append(history, loss)
 
-		if math.Abs(prev-loss) < opt.Tolerance {
+		if math.Abs(prev-loss) < tolerance {
 			flat++
 			if flat >= 10 {
 				break

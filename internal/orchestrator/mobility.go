@@ -99,7 +99,7 @@ func (o *Orchestrator) moveTask(id int, pos geom.Vec3) (MoveResult, []*Plan, err
 		// to it (entry release never crosses shards), then re-home. A
 		// running task drops to pending: its configurations live on the
 		// old domain's surfaces and the new domain must schedule it.
-		shrunk = o.releaseTaskLocked(id)
+		shrunk = o.releaseTaskLocked(t)
 		t.Domain = to
 		if t.State == TaskRunning {
 			t.State = TaskPending

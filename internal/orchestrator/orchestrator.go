@@ -30,22 +30,9 @@ type Options struct {
 	SensingBins int
 	// SensingSubcarriers is the wideband sounding tone count (default 8).
 	SensingSubcarriers int
-	// SensingBandwidth is the sounding bandwidth in Hz (default 1.8 GHz).
-	SensingBandwidth float64
-	// SensingWeight scales the localization term in joint optimization
-	// (default 1.0, the paper's plain sum).
-	SensingWeight float64
 	// Cascade enables surface-to-surface interaction modeling when a group
 	// has multiple surfaces.
 	Cascade bool
-	// ReflOrder is the environment reflection order (default 1).
-	ReflOrder int
-	// MinCouplingDB is the interference-domain reachability threshold in
-	// power dB (0 selects engine.DefaultMinCouplingDB, -40).
-	MinCouplingDB float64
-	// DomainProbeStep is the partition's region probe spacing in meters
-	// (0 selects engine.DefaultProbeStep, 1.0).
-	DomainProbeStep float64
 	// Engine is the shared channel-evaluation engine. Nil selects the
 	// process-wide engine.Default(), maximizing ray-trace cache reuse with
 	// the deployment planner and experiment rigs.
@@ -67,15 +54,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SensingSubcarriers == 0 {
 		o.SensingSubcarriers = 8
-	}
-	if o.SensingBandwidth == 0 {
-		o.SensingBandwidth = 1.8e9
-	}
-	if o.SensingWeight == 0 {
-		o.SensingWeight = 1.0
-	}
-	if o.ReflOrder == 0 {
-		o.ReflOrder = 1
 	}
 	return o
 }
@@ -271,7 +249,7 @@ func (o *Orchestrator) EndTask(id int) error {
 	}
 	t.State = TaskDone
 	o.emitLocked(t, telemetry.TaskDone)
-	shrunk := o.releaseTaskLocked(id)
+	shrunk := o.releaseTaskLocked(t)
 	o.mu.Unlock()
 	o.reapply(shrunk)
 	return nil
@@ -294,57 +272,16 @@ func (o *Orchestrator) reapply(shrunk []*Plan) {
 	}
 }
 
-// releaseTaskLocked prunes a task from the committed plans: entries
-// serving only this task are dropped (plans left empty dissolve, freeing
-// their surfaces), shared joint entries lose the task from their roster.
-// Only the owning shard's plans are touched — plan-entry release never
-// crosses shards. Returns, for each plan whose entry set shrank, a
-// detached snapshot (surfaces and surviving entries as of this call) for
-// reapply; the caller holds o.mu.
-func (o *Orchestrator) releaseTaskLocked(id int) []*Plan {
-	t, ok := o.tasks[id]
-	if !ok {
-		return nil
-	}
+// releaseTaskLocked drops a task from the committed plans of its own
+// shard — plan-entry release never crosses shards — and returns the
+// snapshots reapply needs; the caller holds o.mu.
+func (o *Orchestrator) releaseTaskLocked(t *Task) []*Plan {
 	sh := o.shardByDomainLocked(t.Domain)
 	if sh == nil {
 		// No shard structure yet (task never reconciled): nothing to prune.
 		return nil
 	}
-	var keep, shrunk []*Plan
-	for _, p := range sh.plans {
-		entries := p.Entries[:0:0]
-		shrank := false
-		for _, e := range p.Entries {
-			ids := e.TaskIDs[:0:0]
-			for _, tid := range e.TaskIDs {
-				if tid != id {
-					ids = append(ids, tid)
-				}
-			}
-			if len(ids) == len(e.TaskIDs) {
-				entries = append(entries, e)
-				continue
-			}
-			if len(ids) == 0 {
-				shrank = true
-				continue // entry served only the ended task
-			}
-			e.TaskIDs = ids
-			entries = append(entries, e)
-		}
-		if len(entries) == 0 {
-			continue // plan dissolved, surfaces freed
-		}
-		if shrank {
-			p.Entries = entries
-			p.buildFrame()
-			shrunk = append(shrunk, &Plan{Surfaces: p.Surfaces, Entries: entries})
-		}
-		keep = append(keep, p)
-	}
-	sh.plans = keep
-	return shrunk
+	return sh.dropTasks(func(tid int) bool { return tid == t.ID })
 }
 
 // SetIdle parks a running task without destroying it; idle tasks release

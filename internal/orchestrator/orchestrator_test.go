@@ -3,6 +3,7 @@ package orchestrator
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -581,23 +582,62 @@ func TestPlanFrameApportionment(t *testing.T) {
 	}
 }
 
-func TestPlanFrameProperties(t *testing.T) {
-	// Property: for any positive share vector, the frame has exactly
-	// frameSlots entries, every entry with positive share appears, and
-	// realized shares sum to 1.
-	f := func(raw []uint8) bool {
-		if len(raw) == 0 || len(raw) > 8 {
-			return true
+// fixedFrame is the frame rule before every entry was guaranteed a slot:
+// largest-remainder apportionment over exactly frameSlots slots. It is the
+// reference the current rule must reproduce wherever it starved nobody.
+func fixedFrame(shares []float64) (frame []int, starved bool) {
+	var total float64
+	for _, s := range shares {
+		total += s
+	}
+	counts := make([]int, len(shares))
+	rem := make([]float64, len(shares))
+	used := 0
+	for i, s := range shares {
+		exact := s / total * frameSlots
+		counts[i] = int(exact)
+		rem[i] = exact - float64(counts[i])
+		used += counts[i]
+	}
+	for ; used < frameSlots; used++ {
+		best := 0
+		for i := range rem {
+			if rem[i] > rem[best] {
+				best = i
+			}
 		}
+		counts[best]++
+		rem[best] = -1
+	}
+	for _, c := range counts {
+		starved = starved || c == 0
+	}
+	for len(frame) < frameSlots {
+		for i := range counts {
+			if counts[i] > 0 {
+				frame = append(frame, i)
+				counts[i]--
+			}
+		}
+	}
+	return frame, starved
+}
+
+func TestPlanFrameProperties(t *testing.T) {
+	// Property: for 1-24 entries with shares 1-9, the frame has
+	// max(frameSlots, entries) slots, every entry appears, realized shares
+	// sum to 1, and wherever the fixed-length rule starved nobody the
+	// frame is element for element the one it built.
+	check := func(shares []float64) bool {
 		p := &Plan{}
-		for _, r := range raw {
-			p.Entries = append(p.Entries, PlanEntry{Share: float64(r%9) + 1})
+		for _, s := range shares {
+			p.Entries = append(p.Entries, PlanEntry{Share: s})
 		}
 		p.buildFrame()
 		if len(p.Entries) == 1 {
 			return len(p.frame) == 1
 		}
-		if len(p.frame) != frameSlots {
+		if len(p.frame) != max(frameSlots, len(p.Entries)) {
 			return false
 		}
 		var total float64
@@ -609,27 +649,48 @@ func TestPlanFrameProperties(t *testing.T) {
 			seen[idx] = true
 		}
 		for i := range p.Entries {
+			if !seen[i] {
+				return false
+			}
 			total += p.shareOf(i)
 		}
 		if math.Abs(total-1) > 1e-9 {
 			return false
 		}
-		// Entries with the max share always appear.
-		maxShare := 0.0
-		for _, e := range p.Entries {
-			if e.Share > maxShare {
-				maxShare = e.Share
-			}
-		}
-		for i, e := range p.Entries {
-			if e.Share == maxShare && !seen[i] {
-				return false
-			}
+		if old, starved := fixedFrame(shares); !starved && !reflect.DeepEqual(p.frame, old) {
+			return false
 		}
 		return true
 	}
+	f := func(raw []uint8) bool {
+		if len(raw) == 0 {
+			return true
+		}
+		if len(raw) > 24 {
+			raw = raw[:24]
+		}
+		shares := make([]float64, len(raw))
+		for i, r := range raw {
+			shares[i] = float64(r%9) + 1
+		}
+		return check(shares)
+	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+	// The cases the fixed-length frame starved: equal shares past
+	// frameSlots, and one heavy entry among light ones.
+	for n := 1; n <= 24; n++ {
+		equal := make([]float64, n)
+		for i := range equal {
+			equal[i] = 1
+		}
+		if !check(equal) {
+			t.Errorf("%d equal shares: frame breaks the property", n)
+		}
+	}
+	if !check([]float64{9, 1, 1, 1, 1, 1, 1, 1}) {
+		t.Error("shares 9,1,1,1,1,1,1,1: frame breaks the property")
 	}
 }
 

@@ -65,11 +65,13 @@ type Plan struct {
 	pos   int
 }
 
-// frameSlots is the TDM frame length; shares are realized by
-// largest-remainder apportionment over this many slots.
+// frameSlots is the shortest TDM frame; shares are realized by
+// largest-remainder apportionment over the frame's slots.
 const frameSlots = 10
 
-// buildFrame expands entry shares into a deterministic rotation frame.
+// buildFrame expands entry shares into a deterministic rotation frame of
+// max(frameSlots, len(Entries)) slots in which every entry holds at least
+// one: a task the plan reports running is a task Tick selects.
 func (p *Plan) buildFrame() {
 	p.frame = p.frame[:0]
 	if len(p.Entries) == 0 {
@@ -79,6 +81,7 @@ func (p *Plan) buildFrame() {
 		p.frame = append(p.frame, 0)
 		return
 	}
+	slots := max(frameSlots, len(p.Entries))
 	var total float64
 	for _, e := range p.Entries {
 		total += e.Share
@@ -91,12 +94,12 @@ func (p *Plan) buildFrame() {
 	remainders := make([]float64, len(p.Entries))
 	used := 0
 	for i, e := range p.Entries {
-		exact := e.Share / total * frameSlots
+		exact := e.Share / total * float64(slots)
 		counts[i] = int(exact)
 		remainders[i] = exact - float64(counts[i])
 		used += counts[i]
 	}
-	for used < frameSlots {
+	for used < slots {
 		best := 0
 		for i := 1; i < len(remainders); i++ {
 			if remainders[i] > remainders[best] {
@@ -107,15 +110,56 @@ func (p *Plan) buildFrame() {
 		remainders[best] = -1
 		used++
 	}
-	// Interleave entries round-robin by remaining counts so no task starves
-	// within a frame.
-	for len(p.frame) < frameSlots {
+	// An entry apportioned nothing takes a slot from the largest holder;
+	// slots >= len(Entries), so one with two or more always exists.
+	for i := range counts {
+		if counts[i] > 0 {
+			continue
+		}
+		donor := 0
+		for j := range counts {
+			if counts[j] > counts[donor] {
+				donor = j
+			}
+		}
+		counts[donor]--
+		counts[i]++
+	}
+	// Interleave entries round-robin by remaining counts so no task waits
+	// a whole frame for its slots.
+	for len(p.frame) < slots {
 		for i := range counts {
 			if counts[i] > 0 {
 				p.frame = append(p.frame, i)
 				counts[i]--
 			}
 		}
+	}
+}
+
+// dropTasks removes the tasks drop names from every entry's roster;
+// entries left serving nobody go, and the frame is rebuilt. A plan that
+// loses nothing is not written to, and Entries is replaced, never edited
+// in place: Plans() hands out live plans and reapply holds snapshots.
+func (p *Plan) dropTasks(drop func(taskID int) bool) {
+	entries := p.Entries[:0:0]
+	changed := false
+	for _, e := range p.Entries {
+		ids := e.TaskIDs[:0:0]
+		for _, tid := range e.TaskIDs {
+			if !drop(tid) {
+				ids = append(ids, tid)
+			}
+		}
+		changed = changed || len(ids) < len(e.TaskIDs)
+		if len(ids) > 0 {
+			e.TaskIDs = ids
+			entries = append(entries, e)
+		}
+	}
+	if changed {
+		p.Entries = entries
+		p.buildFrame()
 	}
 }
 

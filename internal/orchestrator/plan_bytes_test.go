@@ -1,0 +1,142 @@
+package orchestrator
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"testing"
+
+	"surfos/internal/driver"
+	"surfos/internal/engine"
+	"surfos/internal/geom"
+	"surfos/internal/optimize"
+)
+
+// brokenService is a registered service whose objective never builds: the
+// failing term of a joint cell.
+const brokenKind = ServiceKind(44)
+
+type brokenService struct{ echoService }
+
+func (brokenService) Kind() ServiceKind { return brokenKind }
+func (brokenService) Name() string      { return "broken" }
+func (brokenService) BuildObjective(context.Context, *Orchestrator, *Task, Band, engine.Spec) (optimize.Objective, Evaluator, error) {
+	return nil, nil, errors.New("broken: no objective")
+}
+
+var brokenRegistered = false
+
+func registerBrokenOnce(t *testing.T) {
+	t.Helper()
+	if brokenRegistered {
+		return
+	}
+	if err := RegisterService(brokenService{}); err != nil {
+		t.Fatal(err)
+	}
+	brokenRegistered = true
+}
+
+// TestPlanBytesPerStrategy pins json.Marshal(Plans()) for every strategy
+// the plan builder serves. The digests were recorded at the commit before
+// the per-strategy builders were folded into it, so the fold is checked to
+// have changed no label, share, roster or configuration bit.
+func TestPlanBytesPerStrategy(t *testing.T) {
+	registerBrokenOnce(t)
+	ctx := context.Background()
+	spots := []geom.Vec3{bedroomPoint(), geom.V(5.0, 6.0, 1.0), geom.V(3.5, 4.5, 1.2), geom.V(1.5, 6.0, 1.0)}
+	links := func(t *testing.T, r *rig, prios ...int) []int {
+		t.Helper()
+		ids := make([]int, len(prios))
+		for i, prio := range prios {
+			task, err := r.o.EnhanceLink(ctx, LinkGoal{Endpoint: fmt.Sprintf("ep%d", i), Pos: spots[i]}, prio)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids[i] = task.ID
+		}
+		return ids
+	}
+	cases := []struct {
+		name     string
+		policy   MultiplexPolicy
+		models   []string
+		strategy string
+		setup    func(t *testing.T, r *rig)
+		want     string
+	}{
+		{"solo", PolicyAuto, []string{driver.ModelNRSurface}, StrategySolo, func(t *testing.T, r *rig) {
+			links(t, r, 1)
+			reconcile(t, r)
+		}, "a9c63091b066aad7"},
+		{"joint", PolicyJoint, []string{driver.ModelNRSurface}, StrategyJoint, func(t *testing.T, r *rig) {
+			links(t, r, 1, 1, 1)
+			reconcile(t, r)
+		}, "533bd375d352c1f6"},
+		{"joint-failing-term", PolicyJoint, []string{driver.ModelNRSurface}, StrategyJoint, func(t *testing.T, r *rig) {
+			links(t, r, 1)
+			bad, err := r.o.Submit(ctx, brokenKind, echoGoal{Endpoint: "ghost", Pos: bedroomPoint()}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.o.EnhanceLink(ctx, LinkGoal{Endpoint: "ep1", Pos: spots[1]}, 1); err != nil {
+				t.Fatal(err)
+			}
+			reconcile(t, r)
+			if got, _ := r.o.Task(bad.ID); got.State != TaskFailed {
+				t.Errorf("broken task state = %v, want failed", got.State)
+			}
+		}, "442d81239e4de8b1"},
+		{"tdm", PolicyTDM, []string{driver.ModelNRSurface}, StrategyTDM, func(t *testing.T, r *rig) {
+			links(t, r, 3, 1, 2, 1)
+			reconcile(t, r)
+		}, "fa0301d1da122ace"},
+		{"sdm", PolicyAuto, []string{driver.ModelNRSurface, driver.ModelNRSurface}, StrategySDM, func(t *testing.T, r *rig) {
+			links(t, r, 1, 2)
+			reconcile(t, r)
+		}, "91be8a7489c6018c"},
+		{"tdm-after-end", PolicyTDM, []string{driver.ModelNRSurface}, StrategyTDM, func(t *testing.T, r *rig) {
+			ids := links(t, r, 3, 1, 2, 1)
+			reconcile(t, r)
+			if err := r.o.EndTask(ids[1]); err != nil {
+				t.Fatal(err)
+			}
+		}, "22f419a137db8006"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := fastOpts()
+			opts.OptIters = 20
+			opts.Policy = tc.policy
+			r := newRig(t, opts, tc.models...)
+			tc.setup(t, r)
+			plans := r.o.Plans()
+			if len(plans) == 0 {
+				t.Fatal("no plans")
+			}
+			for _, p := range plans {
+				if p.Strategy != tc.strategy {
+					t.Errorf("strategy = %s, want %s", p.Strategy, tc.strategy)
+				}
+			}
+			raw, err := json.Marshal(plans)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(raw)
+			if got := hex.EncodeToString(sum[:8]); got != tc.want {
+				t.Errorf("plan bytes digest = %s, want %s (%d bytes)", got, tc.want, len(raw))
+			}
+		})
+	}
+}
+
+func reconcile(t *testing.T, r *rig) {
+	t.Helper()
+	if err := r.o.Reconcile(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -18,7 +18,7 @@ import (
 )
 
 // This file is the service-agnostic scheduler core: grouping, strategy
-// selection, joint/TDM/SDM planning, optimization, and commit. It consumes
+// selection, plan building, optimization, and commit. It consumes
 // tasks purely through the Service interface — per-service objective
 // construction and result extraction live in the service_*.go modules, so
 // registering a new service never requires edits here.
@@ -128,7 +128,14 @@ func (o *Orchestrator) reconcileDomains(ctx context.Context, domains []int) erro
 		if !commit[i] {
 			continue
 		}
-		sh.plans = o.pruneTerminalLocked(results[i])
+		// A task that went terminal between the reconcile snapshot and
+		// this commit (a concurrent EndTask) leaves the plans it was just
+		// given, so committed plans only ever reference live tasks.
+		sh.plans = results[i]
+		sh.dropTasks(func(tid int) bool {
+			t, ok := o.tasks[tid]
+			return ok && (t.State == TaskDone || t.State == TaskFailed)
+		})
 		sh.lastReconcile = durs[i]
 		sh.reconciles++
 		if o.latHist != nil {
@@ -178,43 +185,6 @@ func (o *Orchestrator) scheduleShard(ctx context.Context, sh *shard, act []*Task
 		plans = append(plans, p...)
 	}
 	return plans, true, firstErr
-}
-
-// pruneTerminalLocked drops plan entries referencing tasks that went
-// terminal between the reconcile snapshot and this commit (a concurrent
-// EndTask), mirroring releaseTaskLocked so committed shard plans only
-// ever reference live tasks of their own shard. Caller holds o.mu.
-func (o *Orchestrator) pruneTerminalLocked(plans []*Plan) []*Plan {
-	var keep []*Plan
-	for _, p := range plans {
-		entries := p.Entries[:0:0]
-		changed := false
-		for _, e := range p.Entries {
-			ids := e.TaskIDs[:0:0]
-			for _, tid := range e.TaskIDs {
-				if t, ok := o.tasks[tid]; ok && (t.State == TaskDone || t.State == TaskFailed) {
-					changed = true
-					continue
-				}
-				ids = append(ids, tid)
-			}
-			if len(ids) == 0 {
-				changed = true
-				continue
-			}
-			e.TaskIDs = ids
-			entries = append(entries, e)
-		}
-		if len(entries) == 0 {
-			continue // plan dissolved
-		}
-		if changed {
-			p.Entries = entries
-			p.buildFrame()
-		}
-		keep = append(keep, p)
-	}
-	return keep
 }
 
 // groupTasksIn resolves each task's AP and frequency and buckets tasks
@@ -304,37 +274,24 @@ func (o *Orchestrator) failLocked(t *Task, err error) {
 
 // pickStrategy implements the policy decision.
 func (o *Orchestrator) pickStrategy(g *group) string {
-	switch o.Opts.Policy {
-	case PolicyTDM:
-		if len(g.tasks) == 1 {
-			return StrategySolo
-		}
-		return StrategyTDM
-	case PolicyJoint:
-		if len(g.tasks) == 1 {
-			return StrategySolo
-		}
-		return StrategyJoint
-	case PolicySDM:
-		if len(g.tasks) == 1 {
-			return StrategySolo
-		}
-		return StrategySDM
-	}
-	// Auto.
 	if len(g.tasks) == 1 {
 		return StrategySolo
 	}
-	anyPassive := false
+	switch o.Opts.Policy {
+	case PolicyTDM:
+		return StrategyTDM
+	case PolicyJoint:
+		return StrategyJoint
+	case PolicySDM:
+		return StrategySDM
+	}
+	// Auto.
 	for _, d := range g.devs {
 		if !d.Drv.Spec().Reconfigurable {
-			anyPassive = true
+			// A passive surface holds exactly one configuration: joint
+			// configuration multiplexing is its only sharing mechanism.
+			return StrategyJoint
 		}
-	}
-	if anyPassive {
-		// A passive surface holds exactly one configuration: joint
-		// configuration multiplexing is its only sharing mechanism.
-		return StrategyJoint
 	}
 	if len(g.devs) >= len(g.tasks) {
 		return StrategySDM
@@ -348,24 +305,18 @@ func (o *Orchestrator) pickStrategy(g *group) string {
 // scheduleGroup plans one frequency group.
 func (o *Orchestrator) scheduleGroup(ctx context.Context, g *group) ([]*Plan, error) {
 	strategy := o.pickStrategy(g)
-	switch strategy {
-	case StrategySDM:
+	if strategy == StrategySDM {
 		return o.scheduleSDM(ctx, g)
-	case StrategyTDM:
-		return o.scheduleTDM(ctx, g)
-	default: // solo, joint
-		return o.scheduleJoint(ctx, g, strategy)
 	}
+	p, err := o.buildPlan(ctx, g, strategy)
+	if err != nil {
+		return nil, err
+	}
+	return []*Plan{p}, nil
 }
 
-// deviceIDs lists a device set's IDs.
-func deviceIDs(devs []*hwmgr.Device) []string {
-	out := make([]string, len(devs))
-	for i, d := range devs {
-		out[i] = d.ID
-	}
-	return out
-}
+// reflOrder is the environment reflection order every plan is traced at.
+const reflOrder = 1
 
 // specFor describes the engine simulator configuration for a device
 // subset. Identical device subsets (the common case across successive
@@ -383,7 +334,7 @@ func (o *Orchestrator) specFor(freq float64, devs []*hwmgr.Device) engine.Spec {
 		Scene:             o.Scene,
 		FreqHz:            freq,
 		Surfaces:          surfs,
-		ReflOrder:         o.Opts.ReflOrder,
+		ReflOrder:         reflOrder,
 		Cascade:           o.Opts.Cascade && len(devs) > 1,
 		ElementEfficiency: eff,
 	}
@@ -399,23 +350,18 @@ func projectPhases(devs []*hwmgr.Device, phases [][]float64) [][]float64 {
 	return out
 }
 
-// buildObjective dispatches objective construction to the task's service
-// module.
-func (o *Orchestrator) buildObjective(ctx context.Context, t *Task, g *group, spec engine.Spec) (optimize.Objective, Evaluator, error) {
+// taskTerm dispatches to the task's service module for its loss term: the
+// objective, its weight inside a joint sum, and the result evaluator.
+func (o *Orchestrator) taskTerm(ctx context.Context, t *Task, g *group, spec engine.Spec) (optimize.Objective, float64, Evaluator, error) {
 	svc, err := t.service()
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, nil, err
 	}
-	return svc.BuildObjective(ctx, o, t, g.band, spec)
-}
-
-// taskWeight dispatches joint-sum weighting to the task's service module.
-func (o *Orchestrator) taskWeight(t *Task, obj optimize.Objective) float64 {
-	svc, err := t.service()
+	obj, eval, err := svc.BuildObjective(ctx, o, t, g.band, spec)
 	if err != nil {
-		return 1
+		return nil, 0, nil, err
 	}
-	return svc.Weight(o, t, obj)
+	return obj, svc.Weight(o, t, obj), eval, nil
 }
 
 // optimizeConfigs runs the configuration optimizer for an objective over a
@@ -501,103 +447,78 @@ func (o *Orchestrator) markRunning(t *Task, res *Result) {
 	o.mu.Unlock()
 }
 
-// scheduleJoint handles solo and joint configuration multiplexing: one
-// shared configuration optimized for the (weighted) sum of task losses —
-// the paper's §4 "surface multitasking".
-func (o *Orchestrator) scheduleJoint(ctx context.Context, g *group, strategy string) ([]*Plan, error) {
-	spec := o.specFor(g.band.FreqHz, g.devs)
-	var terms []optimize.Objective
-	var weights []float64
-	evals := make([]Evaluator, 0, len(g.tasks))
-	var scheduled []*Task
-	for _, t := range g.tasks {
-		obj, eval, err := o.buildObjective(ctx, t, g, spec)
-		if err != nil {
-			o.failTask(t, err)
-			continue
-		}
-		terms = append(terms, obj)
-		weights = append(weights, o.taskWeight(t, obj))
-		evals = append(evals, eval)
-		scheduled = append(scheduled, t)
-	}
-	if len(terms) == 0 {
-		return nil, fmt.Errorf("%w at %g Hz", ErrNoSchedulableTasks, g.band.FreqHz)
-	}
-	var obj optimize.Objective
-	if len(terms) == 1 {
-		obj = terms[0]
-	} else {
-		ws, err := optimize.NewWeightedSum(terms, weights)
-		if err != nil {
-			return nil, err
-		}
-		obj = ws
-	}
-	res := o.optimizeConfigs(ctx, obj, g.devs)
-	cfgs := optimize.PhasesToConfigs(res.Phases)
-
-	entry := PlanEntry{Label: strategy, Share: 1, Configs: map[string]surface.Config{}}
-	for i, d := range g.devs {
-		entry.Configs[d.ID] = cfgs[i]
-	}
-	for _, t := range scheduled {
-		entry.TaskIDs = append(entry.TaskIDs, t.ID)
-	}
-	p := &Plan{
-		FreqHz:   g.band.FreqHz,
-		APID:     g.band.AP.ID,
-		Surfaces: deviceIDs(g.devs),
-		Strategy: strategy,
-		Entries:  []PlanEntry{entry},
-	}
-	p.buildFrame()
-	if err := o.applyEntries(g.devs, p.Entries); err != nil {
-		return nil, err
-	}
-	for i, t := range scheduled {
-		r := evals[i](res.Phases)
-		r.Share = 1
-		r.Surfaces = p.Surfaces
-		r.Strategy = strategy
-		o.markRunning(t, r)
-	}
-	return []*Plan{p}, nil
+// cell is one plan entry in the making: the tasks that will share one
+// configuration, and the entry's label and time share.
+type cell struct {
+	label string
+	share float64
+	tasks []*Task
 }
 
-// scheduleTDM gives each task its own optimized configuration and rotates
-// them as time slices weighted by priority.
-func (o *Orchestrator) scheduleTDM(ctx context.Context, g *group) ([]*Plan, error) {
-	spec := o.specFor(g.band.FreqHz, g.devs)
-	p := &Plan{
-		FreqHz:   g.band.FreqHz,
-		APID:     g.band.AP.ID,
-		Surfaces: deviceIDs(g.devs),
-		Strategy: StrategyTDM,
+// partition is all a multiplexing strategy decides. TDM gives each task its
+// own configuration, rotated as time slices weighted by priority; every
+// other strategy shares one configuration among the (sub)group — the
+// paper's §4 "surface multitasking" when it holds more than one task.
+func partition(strategy string, tasks []*Task) []cell {
+	if strategy != StrategyTDM {
+		return []cell{{label: strategy, share: 1, tasks: tasks}}
 	}
-	var scheduled []*Task
-	var evals []Evaluator
-	var phases [][][]float64
-	for _, t := range g.tasks {
-		obj, eval, err := o.buildObjective(ctx, t, g, spec)
-		if err != nil {
-			o.failTask(t, err)
+	cells := make([]cell, len(tasks))
+	for i, t := range tasks {
+		cells[i] = cell{label: fmt.Sprintf("task-%d", t.ID), share: float64(t.Priority), tasks: []*Task{t}}
+	}
+	return cells
+}
+
+// buildPlan is the one path from a group to a live plan, whatever the
+// strategy: per cell, build the tasks' objectives (a task whose objective
+// fails to build fails alone), optimize their weighted sum into one entry;
+// then frame the entries, push them to the devices and mark every served
+// task running with its cell's result.
+func (o *Orchestrator) buildPlan(ctx context.Context, g *group, strategy string) (*Plan, error) {
+	spec := o.specFor(g.band.FreqHz, g.devs)
+	p := &Plan{FreqHz: g.band.FreqHz, APID: g.band.AP.ID, Strategy: strategy}
+	for _, d := range g.devs {
+		p.Surfaces = append(p.Surfaces, d.ID)
+	}
+	type served struct {
+		task  *Task
+		eval  Evaluator
+		entry int
+	}
+	var scheduled []served
+	var phases [][][]float64 // per entry
+	for _, c := range partition(strategy, g.tasks) {
+		entry := PlanEntry{Label: c.label, Share: c.share, Configs: map[string]surface.Config{}}
+		var terms []optimize.Objective
+		var weights []float64
+		for _, t := range c.tasks {
+			obj, weight, eval, err := o.taskTerm(ctx, t, g, spec)
+			if err != nil {
+				o.failTask(t, err)
+				continue
+			}
+			terms = append(terms, obj)
+			weights = append(weights, weight)
+			entry.TaskIDs = append(entry.TaskIDs, t.ID)
+			scheduled = append(scheduled, served{task: t, eval: eval, entry: len(p.Entries)})
+		}
+		if len(terms) == 0 {
 			continue
 		}
-		res := o.optimizeConfigs(ctx, obj, g.devs)
-		cfgs := optimize.PhasesToConfigs(res.Phases)
-		entry := PlanEntry{
-			Label:   fmt.Sprintf("task-%d", t.ID),
-			TaskIDs: []int{t.ID},
-			Share:   float64(t.Priority),
-			Configs: map[string]surface.Config{},
+		obj := terms[0]
+		if len(terms) > 1 {
+			ws, err := optimize.NewWeightedSum(terms, weights)
+			if err != nil {
+				return nil, err
+			}
+			obj = ws
 		}
-		for i, d := range g.devs {
-			entry.Configs[d.ID] = cfgs[i]
+		res := o.optimizeConfigs(ctx, obj, g.devs)
+		for i, cfg := range optimize.PhasesToConfigs(res.Phases) {
+			entry.Configs[g.devs[i].ID] = cfg
 		}
 		p.Entries = append(p.Entries, entry)
-		scheduled = append(scheduled, t)
-		evals = append(evals, eval)
 		phases = append(phases, res.Phases)
 	}
 	if len(p.Entries) == 0 {
@@ -607,14 +528,14 @@ func (o *Orchestrator) scheduleTDM(ctx context.Context, g *group) ([]*Plan, erro
 	if err := o.applyEntries(g.devs, p.Entries); err != nil {
 		return nil, err
 	}
-	for i, t := range scheduled {
-		r := evals[i](phases[i])
-		r.Share = p.shareOf(i)
+	for _, s := range scheduled {
+		r := s.eval(phases[s.entry])
+		r.Share = p.shareOf(s.entry)
 		r.Surfaces = p.Surfaces
-		r.Strategy = StrategyTDM
-		o.markRunning(t, r)
+		r.Strategy = strategy
+		o.markRunning(s.task, r)
 	}
-	return []*Plan{p}, nil
+	return p, nil
 }
 
 // scheduleSDM partitions surfaces among tasks by proximity to the task's
@@ -630,7 +551,7 @@ func (o *Orchestrator) scheduleSDM(ctx context.Context, g *group) ([]*Plan, erro
 			continue
 		}
 		sub := &group{band: g.band, tasks: []*Task{t}, devs: devs}
-		ps, err := o.scheduleJoint(ctx, sub, StrategySDM)
+		p, err := o.buildPlan(ctx, sub, StrategySDM)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -638,7 +559,7 @@ func (o *Orchestrator) scheduleSDM(ctx context.Context, g *group) ([]*Plan, erro
 			o.failTask(t, err)
 			continue
 		}
-		plans = append(plans, ps...)
+		plans = append(plans, p)
 	}
 	if len(plans) == 0 && firstErr != nil {
 		return nil, firstErr

@@ -3,8 +3,10 @@ package orchestrator
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
+	"time"
 
 	"surfos/internal/driver"
 	"surfos/internal/engine"
@@ -13,8 +15,8 @@ import (
 )
 
 // liveGroup builds a scheduling group over the rig's live tasks (not
-// snapshots), the way groupTasks would, for driving the per-strategy
-// schedulers directly.
+// snapshots), the way groupTasks would, for driving the plan builder
+// directly.
 func liveGroup(t *testing.T, r *rig, ids ...int) *group {
 	t.Helper()
 	aps := r.o.HW.APs()
@@ -44,14 +46,14 @@ func TestScheduleTDMSingleTask(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := liveGroup(t, r, task.ID)
-	plans, err := r.o.scheduleTDM(context.Background(), g)
+	plan, err := r.o.buildPlan(context.Background(), g, StrategyTDM)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plans) != 1 || len(plans[0].Entries) != 1 {
-		t.Fatalf("plans = %+v", plans)
+	if len(plan.Entries) != 1 || plan.Strategy != StrategyTDM {
+		t.Fatalf("plan = %+v", plan)
 	}
-	if s := plans[0].shareOf(0); s != 1 {
+	if s := plan.shareOf(0); s != 1 {
 		t.Errorf("single-entry share = %v, want 1", s)
 	}
 	got, _ := r.o.Task(task.ID)
@@ -83,11 +85,10 @@ func TestScheduleSDMSingleTask(t *testing.T) {
 func TestScheduleTDMEmptyGroup(t *testing.T) {
 	r := newRig(t, fastOpts(), driver.ModelNRSurface)
 	g := liveGroup(t, r)
-	if _, err := r.o.scheduleTDM(context.Background(), g); !errors.Is(err, ErrNoSchedulableTasks) {
-		t.Errorf("empty TDM group err = %v, want ErrNoSchedulableTasks", err)
-	}
-	if _, err := r.o.scheduleJoint(context.Background(), g, StrategyJoint); !errors.Is(err, ErrNoSchedulableTasks) {
-		t.Errorf("empty joint group err = %v, want ErrNoSchedulableTasks", err)
+	for _, strategy := range []string{StrategyTDM, StrategyJoint} {
+		if _, err := r.o.buildPlan(context.Background(), g, strategy); !errors.Is(err, ErrNoSchedulableTasks) {
+			t.Errorf("empty %s group err = %v, want ErrNoSchedulableTasks", strategy, err)
+		}
 	}
 }
 
@@ -179,6 +180,49 @@ func TestTDMSharesSumToOne(t *testing.T) {
 	}
 	if math.Abs(resultSum-1) > 1e-9 {
 		t.Errorf("result share sum = %v, want 1", resultSum)
+	}
+}
+
+func TestTDMFrameServesEveryTaskPastFrameSlots(t *testing.T) {
+	// 16 residents on one two-panel domain (the strip fixtures' load per
+	// room): more entries than frameSlots. Every task the plan reports
+	// running must hold a positive share and be selected within one frame.
+	opts := fastOpts()
+	opts.OptIters = 10
+	r := newRig(t, opts, driver.ModelNRSurface, driver.ModelNRSurface)
+	const n = 16
+	for i := 0; i < n; i++ {
+		pos := geom.V(1.5+0.25*float64(i), 5.5, 1.2)
+		if _, err := r.o.EnhanceLink(context.Background(), LinkGoal{Endpoint: fmt.Sprintf("ep%d", i), Pos: pos}, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reconcile(t, r)
+	plans := r.o.Plans()
+	if len(plans) != 1 || plans[0].Strategy != StrategyTDM || len(plans[0].Entries) != n {
+		t.Fatalf("plans = %+v", plans)
+	}
+	for _, task := range r.o.Tasks() {
+		if task.State != TaskRunning || task.Result == nil || task.Result.Share <= 0 {
+			t.Errorf("task %d: state %v result %+v, want running with a positive share", task.ID, task.State, task.Result)
+		}
+	}
+	dev, err := r.o.HW.Surface(plans[0].Surfaces[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	selected := map[string]bool{}
+	for i := 0; i < n; i++ {
+		if err := r.o.Tick(context.Background(), 10*time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		_, label, _ := dev.Drv.Active()
+		selected[label] = true
+	}
+	for _, e := range plans[0].Entries {
+		if !selected[e.Label] {
+			t.Errorf("entry %s never selected in %d ticks", e.Label, n)
+		}
 	}
 }
 

@@ -25,6 +25,9 @@ type SensingGoal struct {
 	GridStep float64
 }
 
+// sensingBandwidthHz is the wideband sounding bandwidth.
+const sensingBandwidthHz = 1.8e9
+
 func init() { MustRegisterService(sensingService{}) }
 
 // sensingService is the localization module: a training-grid localization
@@ -108,9 +111,8 @@ func (sensingService) BuildObjective(ctx context.Context, o *Orchestrator, t *Ta
 	return obj, eval, nil
 }
 
-func (sensingService) Weight(o *Orchestrator, _ *Task, _ optimize.Objective) float64 {
-	return o.Opts.SensingWeight
-}
+// Weight leaves the localization term unscaled: the paper's plain sum.
+func (sensingService) Weight(*Orchestrator, *Task, optimize.Objective) float64 { return 1 }
 
 // estimatorFor builds the sensing estimator for a band: the AP's antenna
 // array observes the band's first sensing-capable surface.
@@ -122,7 +124,7 @@ func estimatorFor(o *Orchestrator, band Band, sim *rfsim.Simulator) (*sensing.Es
 	lambda := em.Wavelength(band.FreqHz)
 	ants := sensing.ULA(band.AP.Pos, geom.V(1, 0, 0), n, lambda/2)
 	bins := sensing.DefaultBins(o.Opts.SensingBins, 60*math.Pi/180)
-	subs := sensing.DefaultSubcarriers(band.FreqHz, o.Opts.SensingBandwidth, o.Opts.SensingSubcarriers)
+	subs := sensing.DefaultSubcarriers(band.FreqHz, sensingBandwidthHz, o.Opts.SensingSubcarriers)
 	est, err := sensing.NewEstimator(sim, 0, ants, bins, subs)
 	if err != nil {
 		return nil, err

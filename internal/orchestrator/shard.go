@@ -38,6 +38,28 @@ func (sh *shard) owns(deviceID string) bool {
 	return ok
 }
 
+// dropTasks shrinks every committed plan by the tasks drop names: plans
+// left without entries dissolve, freeing their surfaces. It returns, for
+// each surviving plan that lost an entry (and so a codebook slot), a
+// detached snapshot of its surfaces and entries for reapply. The caller
+// holds the orchestrator lock.
+func (sh *shard) dropTasks(drop func(taskID int) bool) []*Plan {
+	var keep, shrunk []*Plan
+	for _, p := range sh.plans {
+		n := len(p.Entries)
+		p.dropTasks(drop)
+		if len(p.Entries) == 0 {
+			continue
+		}
+		if len(p.Entries) < n {
+			shrunk = append(shrunk, &Plan{Surfaces: p.Surfaces, Entries: p.Entries})
+		}
+		keep = append(keep, p)
+	}
+	sh.plans = keep
+	return shrunk
+}
+
 // sameDevices reports whether two shards serve the identical device set.
 func (sh *shard) sameDevices(other *shard) bool {
 	if other == nil || len(sh.devices) != len(other.devices) {
@@ -206,11 +228,9 @@ func (o *Orchestrator) ensureShardsLocked() {
 			surfs[i] = d.Drv.Surface()
 		}
 		part, err := o.eng.Partition(engine.DomainSpec{
-			Scene:         o.Scene,
-			Surfaces:      surfs,
-			FreqsHz:       o.apFreqs(),
-			MinCouplingDB: o.Opts.MinCouplingDB,
-			ProbeStep:     o.Opts.DomainProbeStep,
+			Scene:    o.Scene,
+			Surfaces: surfs,
+			FreqsHz:  o.apFreqs(),
 		})
 		if err != nil || len(part.Domains) == 0 {
 			all := make([]int, len(devs))
