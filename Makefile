@@ -9,14 +9,16 @@ all: build vet test
 # figures modulo timing strings), a one-iteration benchmark smoke pass
 # so benchmark code cannot rot, the seeded fault-injection suite, the
 # crash-recovery boundary replay, the replication/failover suite, a
-# short fuzz pass over the shared wire codec, and the fan-out determinism
-# suite repeated at GOMAXPROCS=1,2,4.
+# short fuzz pass over the wire codec and every ctrlproto decoder, and
+# the fan-out determinism suite repeated at GOMAXPROCS=1,2,4.
 ci: build vet staticcheck race golden bench-smoke test-faults test-crash test-failover test-mobility fuzz-smoke test-parallel
 
-# fuzz-smoke runs the wire-frame fuzzer briefly on top of its checked-in
-# seed corpus: enough to catch codec regressions without a fuzz farm.
+# fuzz-smoke runs the wire-frame fuzzer and the ctrlproto payload-decoder
+# fuzzer briefly on top of their seed corpora: enough to catch codec
+# regressions without a fuzz farm.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzFrame -fuzztime=10s ./internal/wire/
+	$(GO) test -run=NONE -fuzz=FuzzDecode -fuzztime=10s ./internal/ctrlproto/
 
 # staticcheck runs honnef.co/go/tools when the binary is available (the
 # GitHub workflow installs the pinned version; offline dev containers

@@ -19,6 +19,8 @@
 //	surfctl -addr HOST:PORT move ID X,Y,Z   (re-target a walking user's task)
 //	surfctl -addr HOST:PORT demand "text"
 //	surfctl -addr HOST:PORT health
+//	surfctl -addr HOST:PORT report DEV ENDPOINT SNR   (feed one endpoint SNR report to the monitor)
+//	surfctl -addr HOST:PORT diagnose                  (monitor findings: measured vs predicted SNR)
 //
 // Against a replicated daemon pair, -server takes a comma-separated
 // failover list tried in order; refused/timed-out dials and standby
@@ -102,7 +104,7 @@ func exitCode(err error) int {
 	return exitFailure
 }
 
-var errUsage = errors.New("usage: surfctl -addr HOST:PORT hello|spec|active|select N|zero|tasks [--watch]|submit ...|end ID|idle ID|resume ID|move ID X,Y,Z|demand TEXT|health")
+var errUsage = errors.New("usage: surfctl -addr HOST:PORT hello|spec|active|select N|zero|tasks [--watch]|submit ...|end ID|idle ID|resume ID|move ID X,Y,Z|demand TEXT|health|report DEV ENDPOINT SNR|diagnose")
 
 // parseVec parses "x,y,z" into a wire position.
 func parseVec(s string) ([3]float64, error) {
@@ -356,6 +358,34 @@ func runCmd(ctx context.Context, c *ctrlproto.Client, addrs []string, args []str
 		ctrlproto.RenderDeviceHealth(out, reply.Devices)
 		if reply.HasControl {
 			ctrlproto.RenderControlHealth(out, reply.Control)
+		}
+		return nil
+
+	case "report":
+		if len(args) != 4 {
+			return fmt.Errorf("%w (report needs a device, an endpoint and an SNR in dB)", errUsage)
+		}
+		snr, err := strconv.ParseFloat(args[3], 64)
+		if err != nil {
+			return fmt.Errorf("%w (report needs a numeric SNR)", errUsage)
+		}
+		if err := c.Report(ctx, ctrlproto.ReportMsg{DeviceID: args[1], EndpointID: args[2], SNRdB: snr}); err != nil {
+			return err
+		}
+		fmt.Fprintln(out, "ok")
+		return nil
+
+	case "diagnose":
+		findings, err := c.Diagnose(ctx)
+		if err != nil {
+			return err
+		}
+		if len(findings) == 0 {
+			fmt.Fprintln(out, "no expectations installed (schedule a link task first)")
+		}
+		for _, f := range findings {
+			fmt.Fprintf(out, "%s/%s: %s (expected %.1f dB, observed %.1f dB, %d reports)\n",
+				f.DeviceID, f.EndpointID, f.Verdict, f.ExpectedSNRdB, f.ObservedSNRdB, f.Samples)
 		}
 		return nil
 

@@ -14,6 +14,7 @@ import (
 	"surfos/internal/em"
 	"surfos/internal/geom"
 	"surfos/internal/hwmgr"
+	"surfos/internal/monitor"
 	"surfos/internal/orchestrator"
 	"surfos/internal/rfsim"
 	"surfos/internal/scene"
@@ -338,6 +339,52 @@ func TestCLIHealthCommand(t *testing.T) {
 	s := out.String()
 	if !strings.Contains(s, "state=dead") || !strings.Contains(s, "failures=1/1") || !strings.Contains(s, "err=") {
 		t.Errorf("health on dead device: %q", s)
+	}
+}
+
+func TestCLIReportAndDiagnose(t *testing.T) {
+	orch, _, _ := newCtrlStack(t)
+	a, err := ctrlproto.NewCtrlAgent(orch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon := monitor.New()
+	a.Monitor = mon
+	ln, err := a.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { a.Close() })
+	addr := ln.String()
+	ctx := context.Background()
+
+	var out strings.Builder
+	if err := run(ctx, addr, []string{"diagnose"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "no expectations installed") {
+		t.Errorf("diagnose with no expectations: %q", out.String())
+	}
+
+	mon.Expect(monitor.Expectation{DeviceID: "s0", EndpointID: "laptop", SNRdB: 10})
+	for i := 0; i < 3; i++ {
+		out.Reset()
+		if err := run(ctx, addr, []string{"report", "s0", "laptop", "10"}, &out); err != nil || out.String() != "ok\n" {
+			t.Fatalf("report: %q, %v", out.String(), err)
+		}
+	}
+	out.Reset()
+	if err := run(ctx, addr, []string{"diagnose"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if want := "s0/laptop: healthy (expected 10.0 dB, observed 10.0 dB, 3 reports)\n"; out.String() != want {
+		t.Errorf("diagnose = %q, want %q", out.String(), want)
+	}
+
+	for _, bad := range [][]string{{"report", "s0", "laptop"}, {"report", "s0", "laptop", "loud"}} {
+		if code := exitCode(run(ctx, addr, bad, &out)); code != exitUsage {
+			t.Errorf("%q exit code = %d, want %d", bad, code, exitUsage)
+		}
 	}
 }
 

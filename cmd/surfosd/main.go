@@ -1,23 +1,21 @@
 // Command surfosd runs a SurfOS control-plane daemon over the reference
 // two-room apartment: it deploys surfaces from the hardware catalog,
 // exposes each device through a southbound control-protocol agent (as a
-// remote surface controller would), and serves a northbound line protocol
-// for operators and applications.
+// remote surface controller would), and serves the framed northbound task
+// API for operators and applications.
 //
 // Usage:
 //
 //	surfosd [-listen 127.0.0.1:7090] [-surfaces NR-Surface@east_wall,NR-Surface@north_wall]
-//	        [-state-dir DIR] [-drain-timeout 5s] [-metrics ADDR]
-//	        [-max-conns N] [-idle-timeout 5m]
+//	        [-state-dir DIR] [-metrics ADDR] [-max-conns N]
 //	        [-admit-max N] [-tenant-quota NAME=MAX[:WEIGHT],...]
 //	        [-health-interval 2s] [-fault-seed N] [-fault-fail P] [-fault-stuck N] [-fault-latency D]
 //
-// The -listen port is the one northbound: a first byte equal to the wire
-// magic selects a framed task-control session (what surfctl and
-// replication primaries speak); anything else — including silence — gets
-// the interactive text protocol below. Both are parsers over the same
-// ctrlproto.CtrlAgent verbs, and both share the connection cap, the drain
-// and the connection gauge.
+// The -listen port is the one northbound: every connection is a framed
+// ctrlproto.CtrlAgent session — surfctl's task, health, report and
+// diagnose commands, watch streams, and replication primaries. At most
+// -max-conns are served at once; one over the cap has its first request
+// answered with a "busy" error and is closed.
 // With -metrics set, Prometheus text metrics (reconcile latency, journal
 // progress and lag, device health, admission rejections, event-bus
 // backpressure) are served at http://ADDR/metrics.
@@ -30,7 +28,7 @@
 // durability entirely, preserving the in-memory-only behavior.
 //
 // On SIGINT/SIGTERM the daemon shuts down gracefully: it stops accepting,
-// drains in-flight northbound connections up to -drain-timeout, finishes
+// closes the northbound sessions and waits for their handlers, finishes
 // the current reconcile, snapshots and fsyncs the journal, and exits.
 //
 // The -fault-* flags attach a deterministic fault injector to every deployed
@@ -39,20 +37,6 @@
 // and -fault-latency delays every control write. The health heartbeat loop
 // (-health-interval; 0 disables) probes devices, feeds the health tracker,
 // and the orchestrator re-plans around devices that die.
-//
-// Northbound protocol (one command per line):
-//
-//	demand <utterance>   translate a user demand and schedule its services
-//	tasks                list tasks
-//	plans                list active scheduling plans
-//	devices              list devices (read back over the southbound protocol)
-//	health               list per-device health (state, stuck mask, failures)
-//	catalog              print the hardware design catalog
-//	end <id>             terminate a task
-//	idle <id> | resume <id>
-//	move <id> <x> <y> <z>  re-target a walking user's task (handoff across domains)
-//	tick <duration>      advance the virtual clock (e.g. tick 500ms)
-//	quit
 //
 // The -replan-* flags enable the churn governor: task-scoped mutations
 // mark their interference domain dirty instead of re-planning inline, a
@@ -64,13 +48,10 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"math"
 	"net"
@@ -91,22 +72,14 @@ import (
 	"surfos/internal/orchestrator"
 	"surfos/internal/store"
 	"surfos/internal/telemetry"
-	"surfos/internal/wire"
 )
 
-// Northbound connection hardening: a stuck or hostile client cannot pin
-// goroutines forever. The idle deadline re-arms before every read; the
-// connection cap rejects (with a diagnostic line) rather than queues, so
-// operators get an immediate signal instead of a hang. The cap and idle
-// timeout are tunable (-max-conns, -idle-timeout); these are the defaults.
+// The northbound connection cap rejects rather than queues, so a client
+// gets an immediate "busy" error instead of a hang. A rejected connection
+// gets busyReplyTimeout to send the request the error answers.
 const (
-	defaultMaxNorthboundConns    = 64
-	defaultNorthboundIdleTimeout = 5 * time.Minute
-	northboundLineMax            = 64 * 1024
-	// northboundSniffTimeout bounds the framed-vs-text protocol detection:
-	// framed clients lead with the wire magic byte immediately, text
-	// operators stay silent until they see the banner.
-	northboundSniffTimeout = 250 * time.Millisecond
+	defaultMaxNorthboundConns = 64
+	busyReplyTimeout          = time.Second
 )
 
 // daemonOptions is the fault-injection and health-loop configuration; the
@@ -128,8 +101,6 @@ type daemonOptions struct {
 	quotas map[string]surfos.TenantQuota
 	// maxConns caps concurrent northbound connections (0 = default).
 	maxConns int
-	// idleTimeout disconnects silent text-mode peers (0 = default).
-	idleTimeout time.Duration
 	// replanBurst enables the replan governor when > 0: each interference
 	// domain may re-plan this many times back-to-back before churn is
 	// coalesced (0 keeps the legacy immediate re-plan path).
@@ -155,20 +126,13 @@ func (o daemonOptions) injecting() bool {
 
 type daemon struct {
 	// ctx is the daemon's lifetime context: canceled at the very end of
-	// shutdown (after the drain), it aborts in-flight reconciliation
-	// (returning the best-so-far configurations) and southbound round
-	// trips.
+	// shutdown (after the sessions end), it aborts in-flight
+	// reconciliation (returning the best-so-far configurations).
 	ctx    context.Context
 	apt    *surfos.Apartment
 	hw     *surfos.Hardware
 	orch   *surfos.Orchestrator
 	agents []*ctrlproto.Agent
-	// southbound clients, keyed by device id
-	clients map[string]*ctrlproto.Client
-	// monitoring/diagnosis service fed by endpoint telemetry
-	mon     *surfos.Monitor
-	bus     *surfos.TelemetryBus
-	monStop func()
 	// task lifecycle events: the orchestrator publishes, the monitor and
 	// northbound watchers consume
 	events    *surfos.TaskEventBus
@@ -205,15 +169,10 @@ type daemon struct {
 	replMu      sync.Mutex
 	replAcked   map[string]uint64
 
-	// Northbound connection tracking for the graceful drain: the semaphore
-	// caps concurrency, the map enables the post-deadline force-close, and
-	// the WaitGroup is the drain barrier.
-	connMu      sync.Mutex
-	conns       map[net.Conn]struct{}
-	connWG      sync.WaitGroup
-	connSem     chan struct{}
-	maxConns    int
-	idleTimeout time.Duration
+	// Northbound sessions: the semaphore caps concurrency (its length is
+	// the open-connection gauge) and the WaitGroup is the shutdown barrier.
+	connWG  sync.WaitGroup
+	connSem chan struct{}
 }
 
 func newDaemon(ctx context.Context, surfaceList string, opts daemonOptions) (*daemon, error) {
@@ -221,32 +180,24 @@ func newDaemon(ctx context.Context, surfaceList string, opts daemonOptions) (*da
 	if maxConns <= 0 {
 		maxConns = defaultMaxNorthboundConns
 	}
-	idleTimeout := opts.idleTimeout
-	if idleTimeout <= 0 {
-		idleTimeout = defaultNorthboundIdleTimeout
-	}
 	d := &daemon{
-		ctx:         ctx,
-		apt:         surfos.NewApartment(),
-		hw:          surfos.NewHardware(),
-		clients:     map[string]*ctrlproto.Client{},
-		mon:         surfos.NewMonitor(),
-		bus:         surfos.NewTelemetryBus(),
-		events:      surfos.NewTaskEventBus(),
-		conns:       map[net.Conn]struct{}{},
-		replAcked:   map[string]uint64{},
-		connSem:     make(chan struct{}, maxConns),
-		maxConns:    maxConns,
-		idleTimeout: idleTimeout,
+		ctx:       ctx,
+		apt:       surfos.NewApartment(),
+		hw:        surfos.NewHardware(),
+		events:    surfos.NewTaskEventBus(),
+		replAcked: map[string]uint64{},
+		connSem:   make(chan struct{}, maxConns),
 	}
 	// Health transitions (device_degraded/device_dead/device_recovered) are
 	// published on the task-event bus: the monitor folds them into diagnosis
 	// and northbound watchers see healing alongside scheduling.
 	d.hw.SetEventBus(d.events)
-	d.monStop = d.mon.Run(ctx, d.bus)
 	// Link-task predictions become monitoring expectations the moment the
 	// scheduler marks the task running — no per-command wiring needed.
-	d.eventStop = d.mon.RunTaskEvents(ctx, d.events)
+	// Endpoint reports reach the monitor through the northbound's report
+	// verb.
+	mon := surfos.NewMonitor()
+	d.eventStop = mon.RunTaskEvents(ctx, d.events)
 	for i, item := range strings.Split(surfaceList, ",") {
 		item = strings.TrimSpace(item)
 		if item == "" {
@@ -288,16 +239,7 @@ func newDaemon(ctx context.Context, surfaceList string, opts daemonOptions) (*da
 		if err != nil {
 			return nil, err
 		}
-		client, err := ctrlproto.Dial(addr.String())
-		if err != nil {
-			return nil, err
-		}
-		// Injected transient failures and latency make timeouts realistic;
-		// bounded retries with idempotent request IDs absorb them without
-		// ever double-applying a configuration.
-		client.Retry = ctrlproto.RetryPolicy{Attempts: 3}
 		d.agents = append(d.agents, agent)
-		d.clients[id] = client
 		log.Printf("deployed %s at %s (southbound agent %s)", id, mountName, addr)
 	}
 
@@ -387,14 +329,14 @@ func newDaemon(ctx context.Context, surfaceList string, opts daemonOptions) (*da
 		return nil, err
 	}
 
-	// The northbound task API: surfctl's frames and the text protocol's
-	// mutating commands both land on this agent's verbs.
+	// The northbound task API: every -listen connection is served here.
 	ctrl, err := ctrlproto.NewCtrlAgent(orch)
 	if err != nil {
 		return nil, err
 	}
 	ctrl.Broker = br
 	ctrl.Events = d.events
+	ctrl.Monitor = mon
 	ctrl.Reconcile = orch.Reconcile
 	// Task-scoped mutations re-plan only the task's interference domain —
 	// through the governor when enabled, so northbound churn coalesces.
@@ -482,12 +424,8 @@ func (d *daemon) registerMetrics(reg *metrics.Registry) {
 	}
 	d.registerReplMetrics(reg)
 	reg.GaugeFunc("surfos_northbound_connections",
-		"Open northbound connections, text and framed.",
-		func() float64 {
-			d.connMu.Lock()
-			defer d.connMu.Unlock()
-			return float64(len(d.conns))
-		})
+		"Open northbound connections.",
+		func() float64 { return float64(len(d.connSem)) })
 }
 
 // healthStateFor maps a journaled health transition back to the tracker's
@@ -637,326 +575,34 @@ func (d *daemon) close() {
 	if d.eventStop != nil {
 		d.eventStop()
 	}
-	if d.monStop != nil {
-		d.monStop()
-	}
-	for _, c := range d.clients {
-		c.Close()
-	}
 	for _, a := range d.agents {
 		a.Close()
 	}
 }
 
-// textErr renders a verb's error as a reply line. The standby rejection
-// keeps its operator hint; everything else is the error text.
-func textErr(err error) string {
-	if errors.Is(err, ctrlproto.ErrNotLeader) {
-		return "error: not the leader (standby); retry against the primary"
-	}
-	return "error: " + err.Error()
-}
-
-// handle executes one northbound text command and returns the reply text.
-// The mutating verbs (demand, end, idle, resume, move) are parse → the
-// control agent's method → reply: the standby gate, the orchestrator call
-// and the governed re-plan live there, once, for framed clients too.
-func (d *daemon) handle(line string) (string, bool) {
-	fields := strings.Fields(line)
-	if len(fields) == 0 {
-		return "", true
-	}
-	cmd, rest := fields[0], strings.TrimSpace(strings.TrimPrefix(line, fields[0]))
-	switch cmd {
-	case "quit", "exit":
-		return "bye", false
-
-	case "help":
-		return "commands: demand <text> | tasks | plans | devices | health | catalog | hazards <GHz> | report <dev> <endpoint> <snr> | diagnose | end <id> | idle <id> | resume <id> | move <id> <x> <y> <z> | tick <dur> | quit", true
-
-	case "health":
-		var b strings.Builder
-		// Durability loss is a control-plane health fact: a journal that
-		// stopped writing means new tasks will not survive a restart.
-		if journal := d.getJournal(); journal != nil {
-			if err := journal.Err(); err != nil {
-				fmt.Fprintf(&b, "journal: FAILED, new tasks are not durable: %v\n", err)
-			}
-		}
-		// Device and control-plane sections share their renderer with
-		// surfctl (healthrender.go).
-		ctrlproto.RenderDeviceHealth(&b, ctrlproto.HealthInfos(d.hw.HealthAll()))
-		if b.Len() == 0 {
-			return "no devices", true
-		}
-		ctrlproto.RenderControlHealth(&b, d.controlHealth())
-		return strings.TrimRight(b.String(), "\n"), true
-
-	case "hazards":
-		// Cross-band interference check (§2.1: a 2.4 GHz panel can block
-		// 5 GHz Wi-Fi). Lists deployed panels that significantly attenuate
-		// the given out-of-band frequency.
-		ghz, err := strconv.ParseFloat(rest, 64)
-		if err != nil {
-			return "error: want a frequency in GHz", true
-		}
-		blockers := d.hw.CrossBandBlockers(ghz*1e9, 3)
-		if len(blockers) == 0 {
-			return fmt.Sprintf("no deployed panel significantly blocks %.1f GHz", ghz), true
-		}
-		var b strings.Builder
-		for _, dev := range blockers {
-			spec := dev.Drv.Spec()
-			fmt.Fprintf(&b, "%s (%s, %.1f-%.1f GHz panel) attenuates %.1f GHz by %.1f dB\n",
-				dev.ID, spec.Model, spec.FreqLowHz/1e9, spec.FreqHighHz/1e9, ghz,
-				spec.Response.PenetrationLossDB(ghz*1e9))
-		}
-		return strings.TrimRight(b.String(), "\n"), true
-
-	case "report":
-		f := strings.Fields(rest)
-		if len(f) != 3 {
-			return "error: want report <device> <endpoint> <snr-db>", true
-		}
-		snr, err := strconv.ParseFloat(f[2], 64)
-		if err != nil {
-			return "error: " + err.Error(), true
-		}
-		d.bus.Publish(surfos.Report{DeviceID: f[0], EndpointID: f[1], ConfigIdx: 0, SNRdB: snr, Time: time.Now()})
-		return "ok", true
-
-	case "diagnose":
-		var b strings.Builder
-		for _, f := range d.mon.Diagnose(time.Now()) {
-			fmt.Fprintf(&b, "%s/%s: %v (expected %.1f dB, observed %.1f dB, %d reports)\n",
-				f.DeviceID, f.EndpointID, f.Verdict, f.ExpectedSNRdB, f.ObservedSNRdB, f.Samples)
-		}
-		if b.Len() == 0 {
-			return "no expectations installed (schedule a link task first)", true
-		}
-		return strings.TrimRight(b.String(), "\n"), true
-
-	case "demand":
-		calls, tasks, err := d.ctrl.Demand(rest)
-		if err != nil {
-			return textErr(err), true
-		}
-		var b strings.Builder
-		for _, c := range calls {
-			fmt.Fprintf(&b, "call: %s\n", c)
-		}
-		// Link predictions become monitoring expectations via the task
-		// lifecycle bus (see RunTaskEvents in newDaemon) — no manual
-		// Expect calls here.
-		for _, t := range tasks {
-			ctrlproto.RenderTask(&b, ctrlproto.TaskInfoOf(t))
-		}
-		return strings.TrimRight(b.String(), "\n"), true
-
-	case "tasks":
-		var b strings.Builder
-		for _, t := range d.orch.Tasks() {
-			ctrlproto.RenderTask(&b, ctrlproto.TaskInfoOf(t))
-		}
-		if b.Len() == 0 {
-			return "no tasks", true
-		}
-		return strings.TrimRight(b.String(), "\n"), true
-
-	case "plans":
-		var b strings.Builder
-		for _, p := range d.orch.Plans() {
-			fmt.Fprintf(&b, "plan %s @ %.1f GHz strategy=%s surfaces=%v entries=%d\n",
-				p.APID, p.FreqHz/1e9, p.Strategy, p.Surfaces, len(p.Entries))
-		}
-		if b.Len() == 0 {
-			return "no plans", true
-		}
-		return strings.TrimRight(b.String(), "\n"), true
-
-	case "devices":
-		var b strings.Builder
-		for _, dev := range d.hw.Surfaces() {
-			client, ok := d.clients[dev.ID]
-			if !ok {
-				fmt.Fprintf(&b, "%s (no southbound agent)\n", dev.ID)
-				continue
-			}
-			spec, err := client.GetSpec(d.ctx)
-			if err != nil {
-				fmt.Fprintf(&b, "%s southbound error: %v\n", dev.ID, err)
-				continue
-			}
-			act, _ := client.Active(d.ctx)
-			state := "unconfigured"
-			if act.HasActive {
-				state = "active=" + act.Label
-			}
-			fmt.Fprintf(&b, "%s model=%s %dx%d band=%.1f-%.1fGHz gran=%v cost=$%.0f %s\n",
-				dev.ID, spec.Model, spec.Rows, spec.Cols,
-				spec.FreqLowHz/1e9, spec.FreqHighHz/1e9, spec.Granularity, spec.CostUSD, state)
-		}
-		if b.Len() == 0 {
-			return "no devices", true
-		}
-		return strings.TrimRight(b.String(), "\n"), true
-
-	case "catalog":
-		var b strings.Builder
-		for _, s := range surfos.Catalog() {
-			fmt.Fprintf(&b, "%-12s %6.1f-%-6.1fGHz %-13s %-3s reconfigurable=%v\n",
-				s.Model, s.FreqLowHz/1e9, s.FreqHighHz/1e9, s.Control, s.OpMode, s.Reconfigurable)
-		}
-		return strings.TrimRight(b.String(), "\n"), true
-
-	case "end", "idle", "resume":
-		id, err := strconv.Atoi(rest)
-		if err != nil {
-			return "error: want a task id", true
-		}
-		if cmd == "end" {
-			err = d.ctrl.EndTask(id)
-		} else {
-			err = d.ctrl.SetIdle(id, cmd == "idle")
-		}
-		if err != nil {
-			return textErr(err), true
-		}
-		return "ok", true
-
-	case "move":
-		f := strings.Fields(rest)
-		if len(f) != 4 {
-			return "error: want move <id> <x> <y> <z>", true
-		}
-		id, err := strconv.Atoi(f[0])
-		if err != nil {
-			return "error: want a task id", true
-		}
-		var pos [3]float64
-		for i, s := range f[1:] {
-			if pos[i], err = strconv.ParseFloat(s, 64); err != nil {
-				return "error: " + err.Error(), true
-			}
-		}
-		res, err := d.ctrl.MoveTask(id, surfos.V(pos[0], pos[1], pos[2]))
-		if err != nil {
-			return textErr(err), true
-		}
-		if res.HandedOff {
-			return fmt.Sprintf("ok (handoff domain %d -> %d)", res.From, res.To), true
-		}
-		return "ok", true
-
-	case "tick":
-		dur, err := time.ParseDuration(rest)
-		if err != nil {
-			return "error: " + err.Error(), true
-		}
-		if err := d.orch.Tick(d.ctx, dur); err != nil {
-			return "tick warning: " + err.Error(), true
-		}
-		return fmt.Sprintf("now %s", d.orch.Now().Format(time.TimeOnly)), true
-	}
-	return fmt.Sprintf("unknown command %q (try help)", cmd), true
-}
-
-// prefixedConn replays the protocol-sniff bytes ahead of the live
-// connection so the chosen handler sees an untouched byte stream.
-type prefixedConn struct {
-	net.Conn
-	r io.Reader
-}
-
-func (c prefixedConn) Read(p []byte) (int, error) { return c.r.Read(p) }
-
-// sniffNorthbound reads at most one byte under a short deadline to pick
-// the session protocol: the wire magic byte means a framed task-control
-// client, anything else (or silence) means a text operator. It returns
-// the consumed bytes for replay.
-func sniffNorthbound(conn net.Conn) (prefix []byte, framed bool, err error) {
-	_ = conn.SetReadDeadline(time.Now().Add(northboundSniffTimeout))
-	var b [1]byte
-	n, err := conn.Read(b[:])
-	_ = conn.SetReadDeadline(time.Time{})
-	if err != nil {
-		if ne, ok := err.(net.Error); ok && ne.Timeout() {
-			// A silent peer is a text operator waiting for the banner.
-			return nil, false, nil
-		}
-		return nil, false, err
-	}
-	return b[:n], n == 1 && b[0] == wire.MagicByte, nil
-}
-
-// serveConn handles one northbound session. The first byte selects the
-// protocol: framed task-control sessions (the surfctl client) are handed
-// to the control agent, everything else speaks the text line protocol.
-// Hardening: concurrency is capped (excess connections get a diagnostic
-// line and an immediate close), an idle read deadline re-arms before
-// every text line, scanner errors — oversized lines, resets, timeouts —
-// are logged and answered with a diagnostic when the connection can
-// still carry one.
+// serveConn serves one northbound session on a slot of the connection
+// cap. A connection over the cap is not queued: its first request is
+// answered with a busy error frame, then it is closed.
 func (d *daemon) serveConn(conn net.Conn) {
 	defer conn.Close()
 	select {
 	case d.connSem <- struct{}{}:
 		defer func() { <-d.connSem }()
 	default:
-		log.Printf("northbound %v: rejected: connection limit (%d) reached", conn.RemoteAddr(), d.maxConns)
-		fmt.Fprintf(conn, "error: busy: %d northbound connections already open, retry later\n", d.maxConns)
+		n := cap(d.connSem)
+		log.Printf("northbound %v: rejected: connection limit (%d) reached", conn.RemoteAddr(), n)
+		// Best effort: the connection closes whether or not the reply
+		// gets through.
+		_ = conn.SetDeadline(time.Now().Add(busyReplyTimeout))
+		if f, err := ctrlproto.ReadFrame(conn); err == nil {
+			_ = ctrlproto.WriteFrame(conn, ctrlproto.Frame{Type: ctrlproto.MsgError, Corr: f.Corr, Payload: ctrlproto.ErrorMsg{
+				Code: ctrlproto.StatusInternal,
+				Text: fmt.Sprintf("busy: %d northbound connections already open, retry later", n),
+			}.Encode()})
+		}
 		return
 	}
-	d.connMu.Lock()
-	d.conns[conn] = struct{}{}
-	d.connMu.Unlock()
-	defer func() {
-		d.connMu.Lock()
-		delete(d.conns, conn)
-		d.connMu.Unlock()
-	}()
-
-	prefix, framed, err := sniffNorthbound(conn)
-	if err != nil {
-		log.Printf("northbound %v: sniff: %v", conn.RemoteAddr(), err)
-		return
-	}
-	if framed {
-		// Framed sessions carry their own liveness (watch streams are
-		// long-lived and legitimately silent), so no idle deadline.
-		d.ctrl.ServeConn(prefixedConn{Conn: conn, r: io.MultiReader(bytes.NewReader(prefix), conn)})
-		return
-	}
-
-	fmt.Fprintf(conn, "surfos daemon ready; type help\n")
-	sc := bufio.NewScanner(io.MultiReader(bytes.NewReader(prefix), conn))
-	sc.Buffer(make([]byte, northboundLineMax), northboundLineMax)
-	for {
-		// Idle deadline: a silent peer is disconnected rather than pinning
-		// this goroutine (and a semaphore slot) forever.
-		_ = conn.SetReadDeadline(time.Now().Add(d.idleTimeout))
-		if !sc.Scan() {
-			break
-		}
-		reply, cont := d.handle(sc.Text())
-		if reply != "" {
-			fmt.Fprintln(conn, reply)
-		}
-		if !cont {
-			return
-		}
-	}
-	if err := sc.Err(); err != nil {
-		log.Printf("northbound %v: read: %v", conn.RemoteAddr(), err)
-		// Best-effort diagnostic: the write side often still works when
-		// the failure was ours (line cap) or a timeout, not a peer reset.
-		_ = conn.SetWriteDeadline(time.Now().Add(time.Second))
-		if errors.Is(err, bufio.ErrTooLong) {
-			fmt.Fprintf(conn, "error: line exceeds %d bytes, closing\n", northboundLineMax)
-		} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
-			fmt.Fprintf(conn, "error: idle for %s, closing\n", d.idleTimeout)
-		}
-	}
+	d.ctrl.ServeConn(conn)
 }
 
 // acceptLoop serves northbound connections until the listener closes.
@@ -977,37 +623,12 @@ func (d *daemon) acceptLoop(ln net.Listener) {
 	}
 }
 
-// drainConns waits for in-flight northbound sessions to finish, up to
-// timeout; stragglers are then force-closed and awaited.
-func (d *daemon) drainConns(timeout time.Duration) {
-	done := make(chan struct{})
-	go func() {
-		d.connWG.Wait()
-		close(done)
-	}()
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case <-done:
-		log.Printf("northbound drained cleanly")
-	case <-timer.C:
-		d.connMu.Lock()
-		n := len(d.conns)
-		for c := range d.conns {
-			c.Close()
-		}
-		d.connMu.Unlock()
-		log.Printf("drain deadline reached: force-closed %d connection(s)", n)
-		<-done
-	}
-}
-
 // run is the daemon's whole lifecycle. Every failure after newDaemon
 // returns through normal error handling, so the deferred close releases
 // agents, listeners and the journal even on a late listen error — the
 // log.Fatalf in main fires only after cleanup has run.
-func run(listen, metricsAddr, surfaceList, stateDir string, drainTimeout time.Duration, opts daemonOptions) error {
-	// Lifetime context: canceled last, after the drain, so an in-flight
+func run(listen, metricsAddr, surfaceList, stateDir string, opts daemonOptions) error {
+	// Lifetime context: canceled last, after the sessions end, so an in-flight
 	// reconcile finishes rather than aborting mid-commit.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -1079,32 +700,31 @@ func run(listen, metricsAddr, surfaceList, stateDir string, drainTimeout time.Du
 
 	select {
 	case <-sigCtx.Done():
-		log.Printf("signal received: stopping accept, draining (timeout %s)", drainTimeout)
+		log.Printf("signal received: stopping accept, draining")
 	case <-acceptDone:
 		// Listener died without a signal — shut down the same way.
 		log.Printf("northbound listener closed: shutting down")
 	}
-	// Graceful shutdown: stop accepting, drop the framed sessions (a watch
-	// stream is idle by design and would otherwise hold the drain for its
-	// whole timeout; a request already executing still finishes under the
-	// live ctx, it only loses its reply), drain the text sessions, journal
-	// the tail, and only then cancel the lifetime ctx.
+	// Graceful shutdown: stop accepting, close every session (a watch
+	// stream is idle by design and would never end on its own; a request
+	// already executing still finishes under the live ctx, it only loses
+	// its reply), wait for the session handlers, journal the tail, and
+	// only then cancel the lifetime ctx.
 	ln.Close()
 	<-acceptDone
 	d.ctrl.Close()
-	d.drainConns(drainTimeout)
+	d.connWG.Wait()
 	d.closeState() // final snapshot + fsync while ctx is still live
 	return nil
 }
 
 func main() {
-	listen := flag.String("listen", "127.0.0.1:7090", "northbound listen address (text operators, surfctl and replication primaries)")
+	listen := flag.String("listen", "127.0.0.1:7090", "northbound listen address (surfctl and replication primaries)")
 	metricsAddr := flag.String("metrics", "", "Prometheus metrics listen address (serves /metrics; empty disables)")
 	surfaceList := flag.String("surfaces",
 		"NR-Surface@east_wall,NR-Surface@north_wall",
 		"comma-separated MODEL@MOUNT deployments")
 	stateDir := flag.String("state-dir", "", "journal directory for durable task state (empty disables)")
-	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "graceful-shutdown drain deadline for northbound connections")
 	healthEvery := flag.Duration("health-interval", 2*time.Second, "device heartbeat probe interval (0 disables)")
 	faultSeed := flag.Int64("fault-seed", 1, "fault injector seed (device i uses seed+i)")
 	faultProb := flag.Float64("fault-fail", 0, "probability each control write fails transiently")
@@ -1113,7 +733,6 @@ func main() {
 	admitMax := flag.Int("admit-max", 0, "global live-task admission cap (0 disables)")
 	tenantQuotas := flag.String("tenant-quota", "", "per-tenant admission quotas, NAME=MAX[:WEIGHT],...")
 	maxConns := flag.Int("max-conns", defaultMaxNorthboundConns, "northbound concurrent-connection cap")
-	idleTimeout := flag.Duration("idle-timeout", defaultNorthboundIdleTimeout, "northbound text-session idle disconnect timeout")
 	replanBurst := flag.Int("replan-burst", 0, "replan governor token-bucket burst per domain (0 disables the governor)")
 	replanRefill := flag.Duration("replan-refill", 0, "replan governor token refill interval (0 = default 500ms)")
 	replanStaleness := flag.Duration("replan-staleness", 0, "bound on how long a dirty domain may serve a stale plan (0 = default 2s)")
@@ -1126,7 +745,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("surfosd: -tenant-quota: %v", err)
 	}
-	if err := run(*listen, *metricsAddr, *surfaceList, *stateDir, *drainTimeout, daemonOptions{
+	if err := run(*listen, *metricsAddr, *surfaceList, *stateDir, daemonOptions{
 		faultSeed:       *faultSeed,
 		faultProb:       *faultProb,
 		faultStuck:      *faultStuck,
@@ -1135,7 +754,6 @@ func main() {
 		admitMax:        *admitMax,
 		quotas:          quotas,
 		maxConns:        *maxConns,
-		idleTimeout:     *idleTimeout,
 		replanBurst:     *replanBurst,
 		replanRefill:    *replanRefill,
 		replanStaleness: *replanStaleness,

@@ -1,10 +1,7 @@
 package main
 
 import (
-	"bufio"
 	"context"
-	"errors"
-	"fmt"
 	"net"
 	"slices"
 	"strings"
@@ -14,7 +11,6 @@ import (
 	"surfos"
 	"surfos/internal/ctrlproto"
 	"surfos/internal/metrics"
-	"surfos/internal/telemetry"
 )
 
 func testDaemon(t *testing.T) *daemon {
@@ -33,6 +29,76 @@ func testDaemon(t *testing.T) *daemon {
 	return d
 }
 
+// connect opens a framed northbound session to d the way an accepted
+// -listen connection is served: a net.Pipe handed to serveConn, connection
+// cap included.
+func connect(t *testing.T, d *daemon) *ctrlproto.Client {
+	t.Helper()
+	client, server := net.Pipe()
+	go d.serveConn(server)
+	c := ctrlproto.NewClient(client)
+	c.Timeout = 30 * time.Second // demands re-plan inside the request
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// demand dispatches an utterance and renders the reply as surfctl does:
+// one "call:" line per service call, then one line per task.
+func demand(t *testing.T, c *ctrlproto.Client, utterance string) string {
+	t.Helper()
+	r, err := c.Demand(context.Background(), utterance)
+	if err != nil {
+		t.Fatalf("demand %q: %v", utterance, err)
+	}
+	var b strings.Builder
+	for _, call := range r.Calls {
+		b.WriteString("call: " + call + "\n")
+	}
+	for _, task := range r.Tasks {
+		ctrlproto.RenderTask(&b, task)
+	}
+	return b.String()
+}
+
+// tasksText renders the task table as `surfctl tasks` prints it.
+func tasksText(t *testing.T, c *ctrlproto.Client) string {
+	t.Helper()
+	tasks, err := c.ListTasks(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, task := range tasks {
+		ctrlproto.RenderTask(&b, task)
+	}
+	return b.String()
+}
+
+// healthText renders the health reply as `surfctl health` prints it.
+func healthText(t *testing.T, c *ctrlproto.Client) string {
+	t.Helper()
+	reply, err := c.HealthFull(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	ctrlproto.RenderDeviceHealth(&b, reply.Devices)
+	ctrlproto.RenderControlHealth(&b, reply.Control)
+	return b.String()
+}
+
+// plannedWithout reports whether d holds at least one committed plan and
+// none of its plans uses device.
+func plannedWithout(d *daemon, device string) bool {
+	plans := d.orch.Plans()
+	for _, p := range plans {
+		if slices.Contains(p.Surfaces, device) {
+			return false
+		}
+	}
+	return len(plans) > 0
+}
+
 func TestDaemonRejectsBadSurfaceSpec(t *testing.T) {
 	if _, err := newDaemon(context.Background(), "garbage", daemonOptions{}); err == nil {
 		t.Error("malformed surface list accepted")
@@ -44,131 +110,98 @@ func TestDaemonRejectsBadSurfaceSpec(t *testing.T) {
 
 func TestDaemonCommands(t *testing.T) {
 	d := testDaemon(t)
+	c := connect(t, d)
+	ctx := context.Background()
 
-	reply, cont := d.handle("help")
-	if !cont || !strings.Contains(reply, "demand") {
-		t.Errorf("help: %q", reply)
+	// Each device stays reachable over its own southbound agent, the way
+	// `surfctl -addr <agent> spec|active` reads it back.
+	agentConn, server := net.Pipe()
+	go d.agents[0].ServeConn(server)
+	agent := ctrlproto.NewClient(agentConn)
+	defer agent.Close()
+	spec, err := agent.GetSpec(ctx)
+	if err != nil || spec.Model != "NR-Surface" || spec.Granularity.String() != "column-wise" {
+		t.Errorf("southbound spec: %+v, %v", spec, err)
+	}
+	if act, err := agent.Active(ctx); err != nil || act.HasActive {
+		t.Errorf("fresh device should be unconfigured: %+v, %v", act, err)
 	}
 
-	reply, _ = d.handle("catalog")
-	if !strings.Contains(reply, "mmWall") || !strings.Contains(reply, "AutoMS") {
-		t.Errorf("catalog missing models: %q", reply)
+	if got := tasksText(t, c); got != "" {
+		t.Errorf("tasks on a fresh daemon: %q", got)
 	}
 
-	reply, _ = d.handle("devices")
-	if !strings.Contains(reply, "NR-Surface") || !strings.Contains(reply, "column-wise") {
-		t.Errorf("devices (southbound readback): %q", reply)
-	}
-	if !strings.Contains(reply, "unconfigured") {
-		t.Errorf("fresh devices should be unconfigured: %q", reply)
-	}
-
-	reply, _ = d.handle("tasks")
-	if reply != "no tasks" {
-		t.Errorf("tasks: %q", reply)
-	}
-
-	reply, _ = d.handle("demand please stream a movie on the tv tonight")
+	reply := demand(t, c, "please stream a movie on the tv tonight")
 	if !strings.Contains(reply, "enhance_link") || !strings.Contains(reply, "running") {
 		t.Errorf("demand: %q", reply)
 	}
-
-	reply, _ = d.handle("plans")
-	if !strings.Contains(reply, "strategy=") {
-		t.Errorf("plans: %q", reply)
+	if plans := d.orch.Plans(); len(plans) == 0 || plans[0].Strategy == "" {
+		t.Errorf("plans after demand: %+v", plans)
 	}
-
 	// The surface now holds a configuration, visible over the southbound
 	// protocol.
-	reply, _ = d.handle("devices")
-	if !strings.Contains(reply, "active=") {
-		t.Errorf("devices after scheduling: %q", reply)
+	if act, err := agent.Active(ctx); err != nil || !act.HasActive {
+		t.Errorf("device after scheduling: %+v, %v", act, err)
 	}
 
-	reply, _ = d.handle("end 1")
-	if reply != "ok" {
-		t.Errorf("end: %q", reply)
+	if err := c.EndTask(ctx, 1); err != nil {
+		t.Errorf("end: %v", err)
 	}
-	reply, _ = d.handle("plans")
-	if reply != "no plans" {
-		t.Errorf("plans after end: %q", reply)
+	if plans := d.orch.Plans(); len(plans) != 0 {
+		t.Errorf("plans after end: %+v", plans)
 	}
 
-	reply, _ = d.handle("tick 250ms")
-	if !strings.Contains(reply, "now ") {
-		t.Errorf("tick: %q", reply)
-	}
-
-	reply, _ = d.handle("demand gibberish nobody understands")
-	if !strings.Contains(reply, "error") {
-		t.Errorf("bad demand: %q", reply)
-	}
-	reply, _ = d.handle("end notanumber")
-	if !strings.Contains(reply, "error") {
-		t.Errorf("bad end: %q", reply)
-	}
-	reply, _ = d.handle("frobnicate")
-	if !strings.Contains(reply, "unknown command") {
-		t.Errorf("unknown: %q", reply)
-	}
-	if _, cont := d.handle("quit"); cont {
-		t.Error("quit should end the session")
+	if _, err := c.Demand(ctx, "gibberish nobody understands"); err == nil {
+		t.Error("bad demand accepted")
 	}
 }
 
 func TestDaemonIdleResume(t *testing.T) {
 	d := testDaemon(t)
-	if reply, _ := d.handle("demand charge my phone please"); !strings.Contains(reply, "init_powering") {
+	c := connect(t, d)
+	ctx := context.Background()
+	if reply := demand(t, c, "charge my phone please"); !strings.Contains(reply, "init_powering") {
 		t.Fatalf("demand: %q", reply)
 	}
-	if reply, _ := d.handle("idle 1"); reply != "ok" {
-		t.Fatalf("idle: %q", reply)
+	if err := c.SetTaskIdle(ctx, 1, true); err != nil {
+		t.Fatalf("idle: %v", err)
 	}
-	if reply, _ := d.handle("plans"); reply != "no plans" {
-		t.Errorf("plans while idle: %q", reply)
+	if plans := d.orch.Plans(); len(plans) != 0 {
+		t.Errorf("plans while idle: %+v", plans)
 	}
-	if reply, _ := d.handle("resume 1"); reply != "ok" {
-		t.Fatalf("resume: %q", reply)
+	if err := c.SetTaskIdle(ctx, 1, false); err != nil {
+		t.Fatalf("resume: %v", err)
 	}
-	if reply, _ := d.handle("plans"); reply == "no plans" {
+	if len(d.orch.Plans()) == 0 {
 		t.Error("no plans after resume")
 	}
 }
 
+// TestDaemonNorthboundOverTCP dials a real -listen socket through the
+// accept loop, and checks the connection gauge counts the open session
+// and releases its slot when the client hangs up.
 func TestDaemonNorthboundOverTCP(t *testing.T) {
 	d := testDaemon(t)
-	client, server := net.Pipe()
-	go d.serveConn(server)
-	defer client.Close()
-
-	rd := bufio.NewReader(client)
-	banner, err := rd.ReadString('\n')
-	if err != nil || !strings.Contains(banner, "surfos daemon ready") {
-		t.Fatalf("banner: %q %v", banner, err)
-	}
-	if _, err := client.Write([]byte("catalog\n")); err != nil {
+	c, err := ctrlproto.Dial(serveNorthbound(t, d))
+	if err != nil {
 		t.Fatal(err)
 	}
-	line, err := rd.ReadString('\n')
-	if err != nil || !strings.Contains(line, "GHz") {
-		t.Fatalf("catalog line: %q %v", line, err)
+	devs, err := c.Health(context.Background())
+	if err != nil || len(devs) != 2 {
+		t.Fatalf("health over TCP: %+v, %v", devs, err)
 	}
-	if _, err := client.Write([]byte("quit\n")); err != nil {
-		t.Fatal(err)
+	if n := len(d.connSem); n != 1 {
+		t.Errorf("open connections = %d, want 1", n)
 	}
+	c.Close()
+	waitFor(t, func() bool { return len(d.connSem) == 0 })
 }
 
 // TestDaemonNorthboundFramedClient drives a framed task-control session
-// over the same port the text protocol uses: the first byte (the wire
-// magic) routes the connection to the control agent instead of the line
-// scanner.
+// through serveConn, multiplexed streams included.
 func TestDaemonNorthboundFramedClient(t *testing.T) {
 	d := testDaemon(t)
-	client, server := net.Pipe()
-	go d.serveConn(server)
-
-	c := ctrlproto.NewClient(client)
-	defer c.Close()
+	c := connect(t, d)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	tasks, err := c.ListTasks(ctx)
@@ -178,7 +211,6 @@ func TestDaemonNorthboundFramedClient(t *testing.T) {
 	if len(tasks) != 0 {
 		t.Fatalf("fresh daemon has tasks: %v", tasks)
 	}
-	// Multiplexed streams work on the shared port too.
 	s, err := c.OpenStream(ctx, ctrlproto.StreamTasks, "")
 	if err != nil {
 		t.Fatalf("open stream: %v", err)
@@ -188,182 +220,78 @@ func TestDaemonNorthboundFramedClient(t *testing.T) {
 	}
 }
 
-// TestTextAndFramedNorthboundAgree runs one script — demand, idle, resume,
-// move, end — against a fresh daemon through each protocol and requires
-// the same task table after every step — the text `tasks` reply byte for
-// byte what surfctl prints for the framed ListTasks —, the same
-// lifecycle-event sequence, and the same standby rejection of every step:
-// both protocols are parsers over the same CtrlAgent verbs and print
-// through the same renderer.
-func TestTextAndFramedNorthboundAgree(t *testing.T) {
-	const demand = "please stream a movie on the tv tonight"
-	script := []struct {
-		text   string
-		framed func(context.Context, *ctrlproto.Client) error
-	}{
-		{"demand " + demand, func(ctx context.Context, c *ctrlproto.Client) error {
-			_, err := c.Demand(ctx, demand)
-			return err
-		}},
-		{"idle 1", func(ctx context.Context, c *ctrlproto.Client) error { return c.SetTaskIdle(ctx, 1, true) }},
-		{"resume 1", func(ctx context.Context, c *ctrlproto.Client) error { return c.SetTaskIdle(ctx, 1, false) }},
-		{"move 1 1.8 6.2 1.5", func(ctx context.Context, c *ctrlproto.Client) error { return c.MoveTask(ctx, 1, 1.8, 6.2, 1.5) }},
-		{"end 1", func(ctx context.Context, c *ctrlproto.Client) error { return c.EndTask(ctx, 1) }},
-	}
-
-	// trace returns the task table after each step and the events the
-	// whole script published.
-	trace := func(framed bool) (tables, events []string) {
-		d := testDaemon(t)
-		// Default policy: delivery is synchronous with Publish, so the
-		// channel holds the script's events the moment a step returns.
-		evCh, unsub := d.events.SubscribeOpts(telemetry.SubOptions[telemetry.TaskEvent]{Name: "parity", Buffer: 256})
-		defer unsub()
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		client, server := net.Pipe()
-		go d.serveConn(server)
-		c := ctrlproto.NewClient(client)
-		defer c.Close()
-
-		// step runs one script line and reports whether it was rejected
-		// by the standby gate (any other failure is fatal).
-		step := func(i int) (notLeader bool) {
-			if framed {
-				err := script[i].framed(ctx, c)
-				if err != nil && !errors.Is(err, ctrlproto.ErrNotLeader) {
-					t.Fatalf("framed %q: %v", script[i].text, err)
-				}
-				return err != nil
-			}
-			reply, _ := d.handle(script[i].text)
-			if reply == "error: not the leader (standby); retry against the primary" {
-				return true
-			}
-			if strings.HasPrefix(reply, "error") {
-				t.Fatalf("text %q: %s", script[i].text, reply)
-			}
-			return false
-		}
-		for i := range script {
-			if step(i) {
-				t.Fatalf("%q rejected by a leader (framed=%v)", script[i].text, framed)
-			}
-			table, _ := d.handle("tasks")
-			if framed {
-				tasks, err := c.ListTasks(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var b strings.Builder
-				for _, task := range tasks {
-					ctrlproto.RenderTask(&b, task)
-				}
-				table = strings.TrimRight(b.String(), "\n")
-			}
-			tables = append(tables, table)
-		}
-		d.standby.Store(true)
-		for i := range script {
-			if !step(i) {
-				t.Errorf("standby accepted %q (framed=%v)", script[i].text, framed)
-			}
-		}
-		for len(evCh) > 0 {
-			ev := <-evCh
-			events = append(events, fmt.Sprintf("task %d %s %s %s %s=%.2f", ev.TaskID, ev.Kind, ev.State, ev.Strategy, ev.MetricName, ev.Metric))
-		}
-		return tables, events
-	}
-
-	textTables, textEvents := trace(false)
-	framedTables, framedEvents := trace(true)
-	for i := range script {
-		if textTables[i] != framedTables[i] {
-			t.Errorf("task table after %q differs:\ntext:   %s\nframed: %s", script[i].text, textTables[i], framedTables[i])
-		}
-	}
-	if len(textEvents) == 0 || !slices.Equal(textEvents, framedEvents) {
-		t.Errorf("lifecycle events differ:\ntext:   %q\nframed: %q", textEvents, framedEvents)
-	}
-}
-
-// TestDaemonNorthboundSniffKeepsTextFirstByte checks that a text client
-// whose first command arrives before the banner (so its first byte is
-// consumed by the protocol sniff) still gets that byte replayed into the
-// line scanner.
-func TestDaemonNorthboundSniffKeepsTextFirstByte(t *testing.T) {
-	d := testDaemon(t)
-	client, server := net.Pipe()
-	go d.serveConn(server)
-	defer client.Close()
-
-	// net.Pipe writes are synchronous: the server sniffs one byte, then
-	// writes the banner before draining the rest of the line, so the write
-	// must not block this goroutine (TCP buffering hides this in practice).
-	go func() { _, _ = client.Write([]byte("help\n")) }()
-	rd := bufio.NewReader(client)
-	banner, err := rd.ReadString('\n')
-	if err != nil || !strings.Contains(banner, "surfos daemon ready") {
-		t.Fatalf("banner: %q %v", banner, err)
-	}
-	line, err := rd.ReadString('\n')
-	if err != nil || !strings.Contains(line, "commands:") {
-		t.Fatalf("help reply with sniffed first byte: %q %v", line, err)
-	}
-}
-
+// TestDaemonHazardsAndDiagnosis covers the monitoring service end to end:
+// endpoint reports arrive as framed Report requests, are folded into the
+// monitor before the ack, and Diagnose compares them with the running
+// link task's prediction. It also pins the deployed panels' cross-band
+// hazard (§2.1: a panel can block an out-of-band link).
 func TestDaemonHazardsAndDiagnosis(t *testing.T) {
 	d := testDaemon(t)
 
 	// The deployed 24 GHz panels do not block their own band...
-	reply, _ := d.handle("hazards 24")
-	if !strings.Contains(reply, "no deployed panel") {
-		t.Errorf("in-band hazards: %q", reply)
+	if b := d.hw.CrossBandBlockers(24e9, 3); len(b) != 0 {
+		t.Errorf("in-band hazards: %d blockers", len(b))
 	}
 	// ...but they attenuate an out-of-band 28 GHz link (panel response).
-	reply, _ = d.handle("hazards 28")
-	if !strings.Contains(reply, "attenuates 28.0 GHz") {
-		t.Errorf("out-of-band hazards: %q", reply)
-	}
-	reply, _ = d.handle("hazards lots")
-	if !strings.Contains(reply, "error") {
-		t.Errorf("bad hazards arg: %q", reply)
+	if b := d.hw.CrossBandBlockers(28e9, 3); len(b) == 0 {
+		t.Error("out-of-band 28 GHz: no blockers")
 	}
 
+	c := connect(t, d)
+	ctx := context.Background()
+	diagnose := func() string {
+		t.Helper()
+		findings, err := c.Diagnose(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for _, f := range findings {
+			b.WriteString(f.DeviceID + "/" + f.EndpointID + ": " + f.Verdict + "\n")
+		}
+		return b.String()
+	}
 	// No expectations yet.
-	reply, _ = d.handle("diagnose")
-	if !strings.Contains(reply, "no expectations") {
-		t.Errorf("diagnose empty: %q", reply)
+	if got := diagnose(); got != "" {
+		t.Errorf("diagnose before any link task: %q", got)
 	}
 
-	// Schedule a link demand: its prediction becomes an expectation.
-	reply, _ = d.handle("demand please stream a movie on the tv tonight")
-	if !strings.Contains(reply, "running") {
+	// Schedule a link demand: its prediction becomes an expectation once
+	// the monitor has consumed the running event from the bus.
+	if reply := demand(t, c, "please stream a movie on the tv tonight"); !strings.Contains(reply, "running") {
 		t.Fatalf("demand: %q", reply)
 	}
-	// Feed matching reports and diagnose healthy.
-	for i := 0; i < 5; i++ {
-		if reply, _ := d.handle("report s0-NR-Surface tv 99"); reply != "ok" {
-			t.Fatalf("report: %q", reply)
+	waitFor(t, func() bool { return diagnose() != "" })
+
+	// Reports are folded in before the ack: matching reports diagnose
+	// healthy, then cratered ones diagnose a blockage, with no waiting.
+	report := func(snr float64) {
+		t.Helper()
+		if err := c.Report(ctx, ctrlproto.ReportMsg{DeviceID: "s0-NR-Surface", EndpointID: "tv", SNRdB: snr}); err != nil {
+			t.Fatalf("report: %v", err)
 		}
 	}
-	waitFor(t, func() bool {
-		reply, _ := d.handle("diagnose")
-		return strings.Contains(reply, "healthy")
-	})
-
-	// Crater the reports: blockage shows up.
-	for i := 0; i < 10; i++ {
-		d.handle("report s0-NR-Surface tv -40")
+	for i := 0; i < 5; i++ {
+		report(99)
 	}
-	waitFor(t, func() bool {
-		reply, _ := d.handle("diagnose")
-		return strings.Contains(reply, "endpoint-blocked")
-	})
+	if got := diagnose(); !strings.Contains(got, "s0-NR-Surface/tv: healthy") {
+		t.Errorf("diagnose after matching reports: %q", got)
+	}
+	for i := 0; i < 10; i++ {
+		report(-40)
+	}
+	if got := diagnose(); !strings.Contains(got, "s0-NR-Surface/tv: endpoint-blocked") {
+		t.Errorf("diagnose after cratered reports: %q", got)
+	}
 
-	if reply, _ := d.handle("report onlytwo args"); !strings.Contains(reply, "error") {
-		t.Errorf("bad report: %q", reply)
+	if err := c.Report(ctx, ctrlproto.ReportMsg{DeviceID: "s0-NR-Surface"}); err == nil {
+		t.Error("report without an endpoint accepted")
+	}
+	// Reports and diagnosis are reads of the monitor, not mutations: a
+	// standby serves them too.
+	d.standby.Store(true)
+	if err := c.Report(ctx, ctrlproto.ReportMsg{DeviceID: "s0-NR-Surface", EndpointID: "tv", SNRdB: 1}); err != nil {
+		t.Errorf("standby report: %v", err)
 	}
 }
 
@@ -374,23 +302,23 @@ func TestDaemonFaultInjectionAndHealth(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(d.close)
+	c := connect(t, d)
 
 	// Before any probe the tracker has no records: everything is healthy.
-	reply, _ := d.handle("health")
-	if !strings.Contains(reply, "state=healthy") {
+	if reply := healthText(t, c); !strings.Contains(reply, "state=healthy") {
 		t.Errorf("health before probe: %q", reply)
 	}
 	// One heartbeat pass picks up the injected stuck-element masks.
 	d.hw.ProbeAll()
-	reply, _ = d.handle("health")
-	if !strings.Contains(reply, "state=degraded") || !strings.Contains(reply, "stuck=6[") {
+	if reply := healthText(t, c); !strings.Contains(reply, "state=degraded") || !strings.Contains(reply, "stuck=6[") {
 		t.Errorf("health after probe: %q", reply)
 	}
 }
 
 func TestDaemonSelfHealsDeadDevice(t *testing.T) {
 	d := testDaemon(t)
-	if reply, _ := d.handle("demand please stream a movie on the tv tonight"); !strings.Contains(reply, "running") {
+	c := connect(t, d)
+	if reply := demand(t, c, "please stream a movie on the tv tonight"); !strings.Contains(reply, "running") {
 		t.Fatalf("demand: %q", reply)
 	}
 	devs := d.hw.Surfaces()
@@ -404,12 +332,8 @@ func TestDaemonSelfHealsDeadDevice(t *testing.T) {
 	// The heartbeat marks the device dead, the event bus carries the
 	// transition, and the self-healing consumer re-plans around it.
 	d.hw.ProbeAll()
-	waitFor(t, func() bool {
-		reply, _ := d.handle("plans")
-		return strings.Contains(reply, "strategy=") && !strings.Contains(reply, devs[0].ID)
-	})
-	reply, _ := d.handle("health")
-	if !strings.Contains(reply, "device "+devs[0].ID+" state=dead") {
+	waitFor(t, func() bool { return plannedWithout(d, devs[0].ID) })
+	if reply := healthText(t, c); !strings.Contains(reply, "device "+devs[0].ID+" state=dead") {
 		t.Errorf("health after death: %q", reply)
 	}
 }
@@ -421,8 +345,9 @@ func TestDaemonMetricsExposition(t *testing.T) {
 	d := testDaemon(t)
 	reg := metrics.NewRegistry()
 	d.registerMetrics(reg)
+	c := connect(t, d)
 
-	if reply, _ := d.handle("demand please stream a movie on the tv tonight"); !strings.Contains(reply, "running") {
+	if reply := demand(t, c, "please stream a movie on the tv tonight"); !strings.Contains(reply, "running") {
 		t.Fatalf("demand: %q", reply)
 	}
 
@@ -438,7 +363,7 @@ func TestDaemonMetricsExposition(t *testing.T) {
 		"surfos_device_health_state{device=",
 		"surfos_bus_subscribers",
 		"surfos_bus_subscriber_delivered_total{subscriber=\"selfheal\"",
-		"surfos_northbound_connections 0",
+		"surfos_northbound_connections 1", // the session that sent the demand
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics output missing %q", want)

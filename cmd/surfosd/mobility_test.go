@@ -2,10 +2,12 @@ package main
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
 	"surfos/internal/metrics"
+	"surfos/internal/orchestrator"
 )
 
 // governedDaemon is testDaemon with the replan governor enabled, the way
@@ -27,20 +29,20 @@ func governedDaemon(t *testing.T) *daemon {
 	return d
 }
 
-// TestDaemonMoveCommand drives the text-protocol move command: a walking
-// user's task is re-targeted and re-planned through the governor.
+// TestDaemonMoveCommand drives the framed move verb: a walking user's task
+// is re-targeted and re-planned through the governor.
 func TestDaemonMoveCommand(t *testing.T) {
 	d := governedDaemon(t)
+	c := connect(t, d)
+	ctx := context.Background()
 
-	if reply, _ := d.handle("demand please stream a movie on the tv tonight"); !strings.Contains(reply, "running") {
+	if reply := demand(t, c, "please stream a movie on the tv tonight"); !strings.Contains(reply, "running") {
 		t.Fatalf("demand: %q", reply)
 	}
-
-	reply, cont := d.handle("move 1 1.8 6.2 1.5")
-	if !cont || reply != "ok" {
-		t.Fatalf("move: %q", reply)
+	if err := c.MoveTask(ctx, 1, 1.8, 6.2, 1.5); err != nil {
+		t.Fatalf("move: %v", err)
 	}
-	if reply, _ := d.handle("tasks"); !strings.Contains(reply, "running") {
+	if reply := tasksText(t, c); !strings.Contains(reply, "running") {
 		t.Errorf("tasks after move: %q", reply)
 	}
 
@@ -49,20 +51,19 @@ func TestDaemonMoveCommand(t *testing.T) {
 		t.Errorf("governor stats after move: %+v, want Replans > 0", s)
 	}
 
-	for _, bad := range []string{"move", "move 1 2 3", "move x 1 2 3", "move 1 a b c", "move 99 1 2 3"} {
-		if reply, _ := d.handle(bad); !strings.Contains(reply, "error") {
-			t.Errorf("%q accepted: %q", bad, reply)
-		}
+	if err := c.MoveTask(ctx, 99, 1, 2, 3); !errors.Is(err, orchestrator.ErrUnknownTask) {
+		t.Errorf("move of an unknown task: err = %v, want ErrUnknownTask", err)
 	}
 }
 
-// TestDaemonTextVerbsAreGoverned: with -replan-burst on, the text
-// protocol's end/idle/resume mark the task's domain and go through the
-// governor exactly like the framed verbs — they are the same CtrlAgent
-// methods — instead of re-planning every domain behind its back.
-func TestDaemonTextVerbsAreGoverned(t *testing.T) {
+// TestDaemonVerbsAreGoverned: with -replan-burst on, end/idle/resume mark
+// the task's domain and go through the governor instead of re-planning
+// every domain behind its back.
+func TestDaemonVerbsAreGoverned(t *testing.T) {
 	d := governedDaemon(t)
-	if reply, _ := d.handle("demand please stream a movie on the tv tonight"); !strings.Contains(reply, "running") {
+	c := connect(t, d)
+	ctx := context.Background()
+	if reply := demand(t, c, "please stream a movie on the tv tonight"); !strings.Contains(reply, "running") {
 		t.Fatalf("demand: %q", reply)
 	}
 	// Every governed mutation either re-plans (Replans), coalesces into a
@@ -72,13 +73,20 @@ func TestDaemonTextVerbsAreGoverned(t *testing.T) {
 		s := d.gov.Stats()
 		return s.Replans + s.Suppressed + uint64(s.Dirty)
 	}
-	for _, line := range []string{"idle 1", "resume 1", "end 1"} {
+	for _, step := range []struct {
+		name string
+		do   func() error
+	}{
+		{"idle 1", func() error { return c.SetTaskIdle(ctx, 1, true) }},
+		{"resume 1", func() error { return c.SetTaskIdle(ctx, 1, false) }},
+		{"end 1", func() error { return c.EndTask(ctx, 1) }},
+	} {
 		before := seen()
-		if reply, _ := d.handle(line); reply != "ok" {
-			t.Fatalf("%s: %q", line, reply)
+		if err := step.do(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
 		}
 		if seen() <= before {
-			t.Errorf("%q bypassed the governor: stats %+v", line, d.gov.Stats())
+			t.Errorf("%q bypassed the governor: stats %+v", step.name, d.gov.Stats())
 		}
 	}
 	if s := d.gov.Stats(); s.Replans < 2 {
@@ -93,11 +101,12 @@ func TestDaemonGovernorMetrics(t *testing.T) {
 	reg := metrics.NewRegistry()
 	d.registerMetrics(reg)
 
-	if reply, _ := d.handle("demand please stream a movie on the tv tonight"); !strings.Contains(reply, "running") {
+	c := connect(t, d)
+	if reply := demand(t, c, "please stream a movie on the tv tonight"); !strings.Contains(reply, "running") {
 		t.Fatalf("demand: %q", reply)
 	}
-	if reply, _ := d.handle("move 1 1.8 6.2 1.5"); reply != "ok" {
-		t.Fatalf("move: %q", reply)
+	if err := c.MoveTask(context.Background(), 1, 1.8, 6.2, 1.5); err != nil {
+		t.Fatalf("move: %v", err)
 	}
 
 	var b strings.Builder

@@ -2,17 +2,19 @@ package main
 
 import (
 	"context"
+	"errors"
 	"io"
 	"net"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"surfos/internal/ctrlproto"
 )
 
-// serveNorthbound puts d behind a real -listen socket — accept loop,
-// protocol sniff and connection cap included, as run does — and returns
-// its address.
+// serveNorthbound puts d behind a real -listen socket — accept loop and
+// connection cap included, as run does — and returns its address.
 func serveNorthbound(t *testing.T, d *daemon) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -73,10 +75,11 @@ func TestDaemonFailoverPromotesStandby(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if reply, _ := d1.handle("demand please stream a movie on the tv tonight"); !strings.Contains(reply, "running") {
+	c1 := connect(t, d1)
+	if reply := demand(t, c1, "please stream a movie on the tv tonight"); !strings.Contains(reply, "running") {
 		t.Fatalf("demand: %q", reply)
 	}
-	if reply, _ := d1.handle("demand charge my phone please"); !strings.Contains(reply, "task 2") {
+	if reply := demand(t, c1, "charge my phone please"); !strings.Contains(reply, "task 2") {
 		t.Fatalf("second demand: %q", reply)
 	}
 
@@ -100,7 +103,8 @@ func TestDaemonFailoverPromotesStandby(t *testing.T) {
 	}
 
 	// Zero live tasks lost: both survive the failover, re-planned.
-	reply, _ := d2.handle("tasks")
+	c2 := connect(t, d2)
+	reply := tasksText(t, c2)
 	if !strings.Contains(reply, "task 1 kind=link") || !strings.Contains(reply, "state=running") {
 		t.Errorf("task 1 not re-admitted on promotion: %q", reply)
 	}
@@ -109,7 +113,7 @@ func TestDaemonFailoverPromotesStandby(t *testing.T) {
 	}
 	// The promoted daemon is the leader now: mutations are accepted and
 	// the ID allocator continues past the primary's high-water mark.
-	if reply, _ := d2.handle("demand please stream a movie on the tv tonight"); !strings.Contains(reply, "task 3") {
+	if reply := demand(t, c2, "please stream a movie on the tv tonight"); !strings.Contains(reply, "task 3") {
 		t.Errorf("post-promotion demand: %q", reply)
 	}
 }
@@ -212,7 +216,8 @@ func TestPrimaryLeaseLossStepsDownAndResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if reply, _ := d1.handle("demand please stream a movie on the tv tonight"); !strings.Contains(reply, "running") {
+	c1 := connect(t, d1)
+	if reply := demand(t, c1, "please stream a movie on the tv tonight"); !strings.Contains(reply, "running") {
 		t.Fatalf("demand: %q", reply)
 	}
 	j := d1.getJournal()
@@ -224,8 +229,8 @@ func TestPrimaryLeaseLossStepsDownAndResumes(t *testing.T) {
 	// Partition. With no acks for a ttl the primary steps into standby.
 	proxy.setDrop(true)
 	waitFor(t, func() bool { return d1.standby.Load() })
-	if reply, _ := d1.handle("demand charge my phone please"); !strings.Contains(reply, "not the leader") {
-		t.Errorf("partitioned-primary demand = %q, want a standby rejection", reply)
+	if _, err := c1.Demand(context.Background(), "charge my phone please"); !errors.Is(err, ctrlproto.ErrNotLeader) {
+		t.Errorf("partitioned-primary demand err = %v, want a standby rejection", err)
 	}
 	if d2.follower.Promoted() {
 		t.Fatal("follower promoted despite its armed hour-long lease")
@@ -238,7 +243,7 @@ func TestPrimaryLeaseLossStepsDownAndResumes(t *testing.T) {
 	if d1.fenced.Load() {
 		t.Error("resumed primary reports fenced")
 	}
-	if reply, _ := d1.handle("demand charge my phone please"); !strings.Contains(reply, "task 2") {
+	if reply := demand(t, c1, "charge my phone please"); !strings.Contains(reply, "task 2") {
 		t.Errorf("post-heal demand = %q, want task 2 accepted", reply)
 	}
 	waitFor(t, func() bool { return d2.follower.Applied() == j.Seq() })

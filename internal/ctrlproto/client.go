@@ -538,6 +538,26 @@ func (c *Client) HealthFull(ctx context.Context) (HealthReply, error) {
 	return DecodeHealthReply(f.Payload)
 }
 
+// Report feeds one endpoint SNR measurement to the control plane's
+// monitor.
+func (c *Client) Report(ctx context.Context, m ReportMsg) error {
+	_, err := c.roundTrip(ctx, MsgReport, m.Encode())
+	return err
+}
+
+// Diagnose fetches the monitor's findings.
+func (c *Client) Diagnose(ctx context.Context) ([]FindingInfo, error) {
+	f, err := c.roundTrip(ctx, MsgDiagnose, nil)
+	if err != nil {
+		return nil, err
+	}
+	if f.Type != MsgDiagnoseReply {
+		return nil, fmt.Errorf("ctrlproto: unexpected %v to diagnose", f.Type)
+	}
+	m, err := DecodeDiagnoseReply(f.Payload)
+	return m.Findings, err
+}
+
 // Demand dispatches a natural-language demand through the control plane's
 // broker.
 func (c *Client) Demand(ctx context.Context, utterance string) (DemandReply, error) {

@@ -75,7 +75,8 @@ func (t MsgType) String() string {
 		MsgOpenStream: "open-stream", MsgCloseStream: "close-stream",
 		MsgReplSnapshot: "repl-snapshot", MsgReplAppend: "repl-append",
 		MsgReplHeartbeat: "repl-heartbeat", MsgReplAck: "repl-ack",
-		MsgMoveTask: "move-task",
+		MsgMoveTask: "move-task", MsgReport: "report",
+		MsgDiagnose: "diagnose", MsgDiagnoseReply: "diagnose-reply",
 	}
 	if s, ok := names[t]; ok {
 		return s

@@ -11,6 +11,7 @@ import (
 
 	"surfos/internal/broker"
 	"surfos/internal/geom"
+	"surfos/internal/monitor"
 	"surfos/internal/orchestrator"
 	"surfos/internal/telemetry"
 )
@@ -38,6 +39,9 @@ type CtrlAgent struct {
 	// ControlHealth, when set, contributes the control plane's own health
 	// (shards, tenants, bus drops, journal lag) to MsgHealth replies.
 	ControlHealth func() ControlHealthInfo
+	// Monitor enables MsgReport (folded in synchronously with Observe)
+	// and MsgDiagnose when set. Neither is standby-gated.
+	Monitor *monitor.Monitor
 	// Repl, when set, receives MsgRepl* frames: this daemon is (or was) a
 	// replication follower and the primary ships its WAL here.
 	Repl *ReplReceiver
@@ -212,9 +216,8 @@ func (a *CtrlAgent) reconcileTask(taskID int) {
 	a.reconcile()
 }
 
-// TaskInfoOf converts an orchestrator task snapshot to its wire view,
-// shared by the control agent's replies and the daemon's text replies.
-func TaskInfoOf(t *orchestrator.Task) TaskInfo {
+// taskInfo converts an orchestrator task snapshot to its wire view.
+func taskInfo(t *orchestrator.Task) TaskInfo {
 	m := TaskInfo{
 		ID:       uint32(t.ID),
 		Kind:     t.Kind.String(),
@@ -239,9 +242,8 @@ func TaskInfoOf(t *orchestrator.Task) TaskInfo {
 	return m
 }
 
-// The five mutating verbs. Each is the one implementation of its verb for
-// every northbound client — handle() decodes a frame onto it, surfosd's
-// text protocol parses a line onto it — and each has the same shape:
+// The five mutating verbs. Each is the one implementation of its verb —
+// handle() decodes a frame onto it — and each has the same shape:
 // standby gate, orchestrator call, post-mutation re-plan hook, result. A
 // re-plan that fails after the mutation succeeded is logged through Logf,
 // not returned: the mutation stands and the task table stays authoritative.
@@ -348,7 +350,7 @@ func (a *CtrlAgent) handle(conn net.Conn, st *connState, f Frame) Frame {
 	case MsgListTasks:
 		var reply TasksReply
 		for _, t := range a.Orch.Tasks() {
-			reply.Tasks = append(reply.Tasks, TaskInfoOf(t))
+			reply.Tasks = append(reply.Tasks, taskInfo(t))
 		}
 		return Frame{Type: MsgTasksReply, Corr: f.Corr, Payload: reply.Encode()}
 
@@ -390,7 +392,7 @@ func (a *CtrlAgent) handle(conn net.Conn, st *connState, f Frame) Frame {
 		if err != nil {
 			return fail(err)
 		}
-		return Frame{Type: MsgTaskReply, Corr: f.Corr, Payload: TaskReply{Task: TaskInfoOf(t)}.Encode()}
+		return Frame{Type: MsgTaskReply, Corr: f.Corr, Payload: TaskReply{Task: taskInfo(t)}.Encode()}
 
 	case MsgOpenStream:
 		if a.Events == nil {
@@ -437,12 +439,36 @@ func (a *CtrlAgent) handle(conn net.Conn, st *connState, f Frame) Frame {
 		return ack
 
 	case MsgHealth:
-		reply := HealthReply{Devices: HealthInfos(a.Orch.HW.HealthAll())}
+		reply := HealthReply{Devices: healthInfos(a.Orch.HW.HealthAll())}
 		if a.ControlHealth != nil {
 			reply.HasControl = true
 			reply.Control = a.ControlHealth()
 		}
 		return Frame{Type: MsgHealthReply, Corr: f.Corr, Payload: reply.Encode()}
+
+	case MsgReport, MsgDiagnose:
+		if a.Monitor == nil {
+			return fail(errors.New("ctrlproto: no monitor attached"))
+		}
+		if f.Type == MsgDiagnose {
+			var reply DiagnoseReply
+			for _, d := range a.Monitor.Diagnose(time.Now()) {
+				reply.Findings = append(reply.Findings, FindingInfo{
+					DeviceID: d.DeviceID, EndpointID: d.EndpointID, Verdict: d.Verdict.String(),
+					ExpectedSNRdB: d.ExpectedSNRdB, ObservedSNRdB: d.ObservedSNRdB, Samples: uint32(d.Samples),
+				})
+			}
+			return Frame{Type: MsgDiagnoseReply, Corr: f.Corr, Payload: reply.Encode()}
+		}
+		m, err := DecodeReportMsg(f.Payload)
+		if err != nil {
+			return fail(err)
+		}
+		if m.DeviceID == "" || m.EndpointID == "" {
+			return fail(errors.New("ctrlproto: report needs a device and an endpoint"))
+		}
+		a.Monitor.Observe(telemetry.Report{DeviceID: m.DeviceID, EndpointID: m.EndpointID, SNRdB: m.SNRdB, Time: time.Now()})
+		return ack
 
 	case MsgDemand:
 		m, err := DecodeDemandMsg(f.Payload)
@@ -458,7 +484,7 @@ func (a *CtrlAgent) handle(conn net.Conn, st *connState, f Frame) Frame {
 			reply.Calls = append(reply.Calls, c.String())
 		}
 		for _, t := range tasks {
-			reply.Tasks = append(reply.Tasks, TaskInfoOf(t))
+			reply.Tasks = append(reply.Tasks, taskInfo(t))
 		}
 		return Frame{Type: MsgDemandReply, Corr: f.Corr, Payload: reply.Encode()}
 

@@ -9,9 +9,7 @@ import (
 	"surfos/internal/orchestrator"
 )
 
-// Operator rendering: the daemon's text-mode `tasks`, `demand` and
-// `health` replies and surfctl's subcommands print the same task and
-// health lines, because both call the renderers below.
+// Operator rendering: the task and health lines surfctl prints.
 
 // RenderTask writes one task row. Tenant and domain print only when
 // non-default, keeping single-tenant single-domain output byte-identical
@@ -34,10 +32,9 @@ func RenderTask(w io.Writer, t TaskInfo) {
 	fmt.Fprintln(w)
 }
 
-// HealthInfos converts hardware-manager health snapshots to their wire
-// form, shared by the control agent's MsgHealth reply and the daemon's
-// text health command.
-func HealthInfos(hs []hwmgr.DeviceHealth) []HealthInfo {
+// healthInfos converts hardware-manager health snapshots to their wire
+// form for the control agent's MsgHealth reply.
+func healthInfos(hs []hwmgr.DeviceHealth) []HealthInfo {
 	var out []HealthInfo
 	for _, h := range hs {
 		info := HealthInfo{
@@ -56,8 +53,7 @@ func HealthInfos(hs []hwmgr.DeviceHealth) []HealthInfo {
 }
 
 // RenderDeviceHealth writes one line per device. Callers handle the
-// empty-set message themselves (the two surfaces disagree on what follows
-// it).
+// empty-set message themselves.
 func RenderDeviceHealth(w io.Writer, devs []HealthInfo) {
 	for _, d := range devs {
 		fmt.Fprintf(w, "device %s state=%s", d.DeviceID, d.State)

@@ -5,8 +5,8 @@ package ctrlproto
 // interference-domain shards when the new position is best served
 // elsewhere.
 
-// MsgMoveTask continues the wire numbering (replmsg.go ends at 31) —
-// append only.
+// MsgMoveTask continues the wire numbering (replmsg.go ends at 31;
+// monitormsg.go continues at 33) — append only.
 const MsgMoveTask MsgType = 32
 
 // MoveTaskMsg re-targets one task at a new position.

@@ -210,6 +210,24 @@ func TestHealthFullControlSection(t *testing.T) {
 	}
 }
 
+// TestMonitorMsgNumbersArePinned: the monitoring messages continue the
+// append-only numbering after MsgMoveTask.
+func TestMonitorMsgNumbersArePinned(t *testing.T) {
+	for _, tc := range []struct {
+		got  MsgType
+		want byte
+	}{
+		{MsgMoveTask, 32},
+		{MsgReport, 33},
+		{MsgDiagnose, 34},
+		{MsgDiagnoseReply, 35},
+	} {
+		if byte(tc.got) != tc.want {
+			t.Errorf("%v = %d, want %d", tc.got, byte(tc.got), tc.want)
+		}
+	}
+}
+
 // TestStreamMsgRoundTrip pins the multiplexed-stream control payloads
 // introduced with the framed northbound: open carries (stream, kind,
 // filter), close carries the stream ID alone.

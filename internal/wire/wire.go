@@ -24,9 +24,7 @@ import (
 
 // Protocol constants.
 const (
-	// Magic marks every frame ("SurfOS"). Its first byte, 0x5F, is the
-	// sniffing byte dual-mode listeners use to tell framed clients from
-	// line-protocol text clients (see MagicByte).
+	// Magic marks every frame ("SurfOS").
 	Magic   uint16 = 0x5F05
 	Version byte   = 1
 	// MaxPayload bounds a frame's payload; a 512×512-element codebook of 16
@@ -34,10 +32,6 @@ const (
 	MaxPayload = 64 << 20
 	// HeaderLen is the fixed frame header size.
 	HeaderLen = 2 + 1 + 1 + 4 + 4
-	// MagicByte is the first byte of every frame. No northbound text
-	// command begins with it, so a dual-mode listener can route a
-	// connection after reading a single byte.
-	MagicByte byte = byte(Magic >> 8)
 )
 
 // Framing errors.
@@ -79,9 +73,12 @@ func WriteFrame(w io.Writer, f Frame) error {
 	hdr[3] = f.Type
 	binary.BigEndian.PutUint32(hdr[4:8], f.Stream)
 	binary.BigEndian.PutUint32(hdr[8:12], uint32(len(f.Payload)))
-	if _, err := w.Write(hdr); err != nil {
+	if _, err := w.Write(hdr); err != nil || len(f.Payload) == 0 {
 		return err
 	}
+	// An empty payload is not written: on a synchronous transport
+	// (net.Pipe) a zero-length write blocks until the peer reads again,
+	// so a peer that answers the header and hangs up would fail it.
 	_, err := w.Write(f.Payload)
 	return err
 }

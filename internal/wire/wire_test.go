@@ -62,8 +62,20 @@ func TestWireLayoutIsPinned(t *testing.T) {
 	if !bytes.Equal(b, want) {
 		t.Fatalf("layout drifted:\n got %x\nwant %x", b, want)
 	}
-	if MagicByte != 0x5F {
-		t.Fatalf("MagicByte = %#x, want 0x5F", MagicByte)
+}
+
+// countingWriter counts Write calls.
+type countingWriter struct{ writes int }
+
+func (w *countingWriter) Write(p []byte) (int, error) { w.writes++; return len(p), nil }
+
+// TestEmptyPayloadIsOneWrite: a header-only frame is a single write, so a
+// peer that answers the header and hangs up does not fail it on a
+// synchronous transport.
+func TestEmptyPayloadIsOneWrite(t *testing.T) {
+	var w countingWriter
+	if err := WriteFrame(&w, Frame{Type: 1}); err != nil || w.writes != 1 {
+		t.Fatalf("empty frame: %d writes, err %v; want 1 write", w.writes, err)
 	}
 }
 
