@@ -10,7 +10,8 @@ all: build vet test
 # so benchmark code cannot rot, the seeded fault-injection suite, the
 # crash-recovery boundary replay, the replication/failover suite, a
 # short fuzz pass over the wire codec and every ctrlproto decoder, and
-# the fan-out determinism suite repeated at GOMAXPROCS=1,2,4.
+# the fan-out determinism suite (engine, sensing, plan cells) repeated at
+# GOMAXPROCS=1,2,4.
 ci: build vet staticcheck race golden bench-smoke test-faults test-crash test-failover test-mobility fuzz-smoke test-parallel
 
 # fuzz-smoke runs the wire-frame fuzzer and the ctrlproto payload-decoder
@@ -112,11 +113,14 @@ bench:
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
-# test-parallel reruns the sensing and engine suites at several GOMAXPROCS
-# values (-cpu multiplies each test): Engine.ForEach fan-outs must stay
-# bit-identical to serial whether the runtime has 1, 2, or 4 procs.
+# test-parallel reruns the sensing and engine suites, and the orchestrator's
+# plan-bytes, frame and race tests (a plan's cells are built concurrently),
+# at several GOMAXPROCS values (-cpu multiplies each test): Engine.ForEach
+# fan-outs must stay bit-identical to serial whether the runtime has 1, 2,
+# or 4 procs.
 test-parallel:
 	$(GO) test -count=1 -cpu=1,2,4 ./internal/sensing/ ./internal/engine/
+	$(GO) test -count=1 -cpu=1,2,4 -run 'PlanBytes|Frame|Race' ./internal/orchestrator/
 
 fmt:
 	gofmt -l -w .

@@ -15,7 +15,7 @@ func (o *Orchestrator) RegisterMetrics(r *metrics.Registry) {
 		"Wall-clock duration of one interference-domain shard reconcile.",
 		metrics.DurationBuckets)
 	sw := r.Histogram("surfos_optimize_sweep_duration_seconds",
-		"Wall-clock duration of one configuration-optimizer run.",
+		"Wall-clock duration of one configuration-optimizer run. The cells of a plan run concurrently, so the sum can exceed the reconcile's wall time.",
 		metrics.DurationBuckets)
 	o.mu.Lock()
 	o.latHist = h

@@ -7,12 +7,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"surfos/internal/driver"
 	"surfos/internal/engine"
 	"surfos/internal/geom"
 	"surfos/internal/optimize"
+	"surfos/internal/telemetry"
 )
 
 // brokenService is a registered service whose objective never builds: the
@@ -129,6 +131,88 @@ func TestPlanBytesPerStrategy(t *testing.T) {
 			sum := sha256.Sum256(raw)
 			if got := hex.EncodeToString(sum[:8]); got != tc.want {
 				t.Errorf("plan bytes digest = %s, want %s (%d bytes)", got, tc.want, len(raw))
+			}
+		})
+	}
+}
+
+// TestPlanBytesAcrossEngineWidths builds one 18-task TDM plan — 16 links
+// of mixed priority and two tasks whose objective never builds, between
+// them — on engines 1, 2, 4 and 8 workers wide. Wider engines plan the
+// cells concurrently; the plan bytes, every task's state, error and result,
+// and the order of the lifecycle events must still be the serial build's.
+// The digest was recorded before cells were planned concurrently.
+func TestPlanBytesAcrossEngineWidths(t *testing.T) {
+	registerBrokenOnce(t)
+	const want = "5aec9cb97a18b984"
+	type outcome struct {
+		digest string
+		tasks  []string
+		events []string
+	}
+	build := func(t *testing.T, workers int) outcome {
+		opts := fastOpts()
+		opts.OptIters = 10
+		opts.Engine = engine.New(engine.Options{Workers: workers})
+		r := newRig(t, opts, driver.ModelNRSurface, driver.ModelNRSurface)
+		bus := telemetry.NewEventBus()
+		ch, cancel := bus.Subscribe(256)
+		defer cancel()
+		r.o.SetEventBus(bus)
+		ctx := context.Background()
+		for i := 0; i < 16; i++ {
+			if i == 5 || i == 11 {
+				if _, err := r.o.Submit(ctx, brokenKind, echoGoal{Endpoint: fmt.Sprintf("ghost%d", i), Pos: bedroomPoint()}, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pos := geom.V(1.5+0.25*float64(i), 5.5, 1.2)
+			if _, err := r.o.EnhanceLink(ctx, LinkGoal{Endpoint: fmt.Sprintf("ep%d", i), Pos: pos}, 1+i%3); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reconcile(t, r)
+		plans := r.o.Plans()
+		if len(plans) != 1 || plans[0].Strategy != StrategyTDM || len(plans[0].Entries) != 16 {
+			t.Fatalf("plans = %+v, want one TDM plan with 16 entries", plans)
+		}
+		raw, err := json.Marshal(plans)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(raw)
+		var out outcome
+		out.digest = hex.EncodeToString(sum[:8])
+		for _, task := range r.o.Tasks() {
+			res, err := json.Marshal(task.Result)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out.tasks = append(out.tasks, fmt.Sprintf("%d %s %v %s", task.ID, task.State, task.Err, res))
+		}
+		for _, ev := range drainEvents(ch) {
+			out.events = append(out.events, fmt.Sprintf("%s %d", ev.State, ev.TaskID))
+		}
+		if bus.Dropped() != 0 {
+			t.Fatalf("event bus dropped %d events", bus.Dropped())
+		}
+		return out
+	}
+	serial := build(t, 1)
+	if serial.digest != want {
+		t.Errorf("serial plan bytes digest = %s, want %s", serial.digest, want)
+	}
+	for _, workers := range []int{2, 4, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			got := build(t, workers)
+			if got.digest != serial.digest {
+				t.Errorf("plan bytes digest = %s, serial build %s", got.digest, serial.digest)
+			}
+			if !reflect.DeepEqual(got.tasks, serial.tasks) {
+				t.Errorf("tasks differ from the serial build:\n got %q\nwant %q", got.tasks, serial.tasks)
+			}
+			if !reflect.DeepEqual(got.events, serial.events) {
+				t.Errorf("event order differs from the serial build:\n got %q\nwant %q", got.events, serial.events)
 			}
 		})
 	}

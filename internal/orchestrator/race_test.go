@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"surfos/internal/driver"
+	"surfos/internal/engine"
 	"surfos/internal/scene"
 	"surfos/internal/telemetry"
 )
@@ -18,6 +19,10 @@ import (
 func TestSnapshotReadersRaceReconcile(t *testing.T) {
 	opts := fastOpts()
 	opts.OptIters = 10 // keep each Reconcile short so many interleave
+	// A 4-wide engine builds the TDM plan's cells concurrently, so the
+	// readers race a fanned-out build.
+	opts.Policy = PolicyTDM
+	opts.Engine = engine.New(engine.Options{Workers: 4})
 	r := newRig(t, opts, driver.ModelNRSurface, driver.ModelNRSurface)
 	bus := telemetry.NewEventBus()
 	_, cancel := bus.Subscribe(16) // exercise emission concurrently too
@@ -96,6 +101,8 @@ func TestSnapshotReadersRaceReconcile(t *testing.T) {
 func TestEndTaskRacesHandoffOnSharedPlan(t *testing.T) {
 	opts := fastOpts()
 	opts.OptIters = 2 // the plans' quality is irrelevant; their entry sets are the subject
+	// A 4-wide engine builds the plan's cells concurrently.
+	opts.Engine = engine.New(engine.Options{Workers: 4})
 	r := newStripRig(t, 2, opts)
 	ctx := context.Background()
 

@@ -39,11 +39,14 @@ type group struct {
 // deterministic. Single-domain scenes (and 1-worker engines) take the
 // exact serial path the monolithic scheduler did.
 //
-// Cancellation semantics: the ctx is checked between shards and groups
-// and inside the optimizer loops. A cancel mid-optimization applies the
-// best-so-far configuration for the group being scheduled (bounded
-// degradation, not half-written state), skips remaining work, and
-// returns the ctx error wrapped in ErrOptimizeStopped.
+// Cancellation semantics: the ctx is checked before each shard starts and
+// inside the optimizer loop, and nowhere else. A shard that has started is
+// planned whole: every group and every cell is built, each optimizer run
+// the cancel reaches applies its best-so-far configuration (bounded
+// degradation, not half-written state), and the shard's plans are
+// committed, so a cancel neither fails a task nor drops a running task
+// from the plans. Shards that had not started keep their previous plans.
+// The ctx error is returned wrapped in ErrOptimizeStopped.
 func (o *Orchestrator) Reconcile(ctx context.Context) error {
 	return o.reconcileDomains(ctx, nil)
 }
@@ -160,7 +163,9 @@ func (o *Orchestrator) reconcileDomains(ctx context.Context, domains []int) erro
 // scheduleShard plans one shard's active task set. The returned commit
 // flag mirrors the monolithic scheduler's contract: grouping failures
 // (no AP registered) leave the previous plans standing, while scheduling
-// failures commit whatever was planned.
+// failures commit whatever was planned. A cancel does not cut the shard
+// short: every group is planned (buildPlan), so the committed plans never
+// lose a group whose tasks stay running.
 func (o *Orchestrator) scheduleShard(ctx context.Context, sh *shard, act []*Task) ([]*Plan, bool, error) {
 	groups, err := o.groupTasksIn(act, sh)
 	if err != nil {
@@ -169,12 +174,6 @@ func (o *Orchestrator) scheduleShard(ctx context.Context, sh *shard, act []*Task
 	var plans []*Plan
 	var firstErr error
 	for _, g := range groups {
-		if err := ctxErr(ctx); err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("%w: %w", ErrOptimizeStopped, err)
-			}
-			break
-		}
 		p, err := o.scheduleGroup(ctx, g)
 		if err != nil {
 			if firstErr == nil {
@@ -455,6 +454,18 @@ type cell struct {
 	tasks []*Task
 }
 
+// builtCell is what planning one cell produced: its entry, the tasks it
+// serves with their results (Share, Surfaces and Strategy are filled in at
+// assembly), and the tasks whose objective failed to build.
+type builtCell struct {
+	entry   PlanEntry
+	served  []*Task
+	results []*Result
+	failed  []*Task
+	errs    []error // errs[i] is why failed[i] failed
+	err     error   // the cell's terms could not be summed
+}
+
 // partition is all a multiplexing strategy decides. TDM gives each task its
 // own configuration, rotated as time slices weighted by priority; every
 // other strategy shares one configuration among the (sub)group — the
@@ -471,55 +482,42 @@ func partition(strategy string, tasks []*Task) []cell {
 }
 
 // buildPlan is the one path from a group to a live plan, whatever the
-// strategy: per cell, build the tasks' objectives (a task whose objective
-// fails to build fails alone), optimize their weighted sum into one entry;
-// then frame the entries, push them to the devices and mark every served
-// task running with its cell's result.
+// strategy. The cells are independent problems, so they are planned
+// concurrently on the engine's worker pool (buildCell; a one-cell plan runs
+// inline). Assembly is serial and in cell order: fail the tasks whose
+// objective failed to build, collect the entries, frame them, push them to
+// the devices and mark every served task running with its cell's result.
+// Every cell's optimizer run is deterministic and independent of the
+// others, so the plan and its events are those of a serial build.
+//
+// A started build is finished whole: only the optimizer sees ctx, and a
+// run it cancels applies its best-so-far configuration. Every other step
+// runs uncancelled, so a cancel never fails a task.
 func (o *Orchestrator) buildPlan(ctx context.Context, g *group, strategy string) (*Plan, error) {
 	spec := o.specFor(g.band.FreqHz, g.devs)
 	p := &Plan{FreqHz: g.band.FreqHz, APID: g.band.AP.ID, Strategy: strategy}
 	for _, d := range g.devs {
 		p.Surfaces = append(p.Surfaces, d.ID)
 	}
-	type served struct {
-		task  *Task
-		eval  Evaluator
-		entry int
-	}
-	var scheduled []served
-	var phases [][][]float64 // per entry
-	for _, c := range partition(strategy, g.tasks) {
-		entry := PlanEntry{Label: c.label, Share: c.share, Configs: map[string]surface.Config{}}
-		var terms []optimize.Objective
-		var weights []float64
-		for _, t := range c.tasks {
-			obj, weight, eval, err := o.taskTerm(ctx, t, g, spec)
-			if err != nil {
-				o.failTask(t, err)
-				continue
-			}
-			terms = append(terms, obj)
-			weights = append(weights, weight)
-			entry.TaskIDs = append(entry.TaskIDs, t.ID)
-			scheduled = append(scheduled, served{task: t, eval: eval, entry: len(p.Entries)})
+	whole := context.WithoutCancel(ctx)
+	cells := partition(strategy, g.tasks)
+	built := make([]builtCell, len(cells))
+	// whole is never cancelled, so ForEach runs every cell and returns nil.
+	_ = o.eng.ForEach(whole, len(cells), func(i int) {
+		built[i] = o.buildCell(ctx, whole, cells[i], g, spec)
+	})
+	var live []builtCell
+	for _, b := range built {
+		for i, t := range b.failed {
+			o.failTask(t, b.errs[i])
 		}
-		if len(terms) == 0 {
-			continue
+		if b.err != nil {
+			return nil, b.err
 		}
-		obj := terms[0]
-		if len(terms) > 1 {
-			ws, err := optimize.NewWeightedSum(terms, weights)
-			if err != nil {
-				return nil, err
-			}
-			obj = ws
+		if len(b.served) > 0 {
+			p.Entries = append(p.Entries, b.entry)
+			live = append(live, b)
 		}
-		res := o.optimizeConfigs(ctx, obj, g.devs)
-		for i, cfg := range optimize.PhasesToConfigs(res.Phases) {
-			entry.Configs[g.devs[i].ID] = cfg
-		}
-		p.Entries = append(p.Entries, entry)
-		phases = append(phases, res.Phases)
 	}
 	if len(p.Entries) == 0 {
 		return nil, fmt.Errorf("%w at %g Hz", ErrNoSchedulableTasks, g.band.FreqHz)
@@ -528,14 +526,61 @@ func (o *Orchestrator) buildPlan(ctx context.Context, g *group, strategy string)
 	if err := o.applyEntries(g.devs, p.Entries); err != nil {
 		return nil, err
 	}
-	for _, s := range scheduled {
-		r := s.eval(phases[s.entry])
-		r.Share = p.shareOf(s.entry)
-		r.Surfaces = p.Surfaces
-		r.Strategy = strategy
-		o.markRunning(s.task, r)
+	for e, b := range live {
+		for i, t := range b.served {
+			r := b.results[i]
+			r.Share = p.shareOf(e)
+			r.Surfaces = p.Surfaces
+			r.Strategy = strategy
+			o.markRunning(t, r)
+		}
 	}
 	return p, nil
+}
+
+// buildCell plans one cell: build each task's objective (a task whose
+// objective fails to build fails alone), optimize their weighted sum into
+// the cell's entry, and evaluate each served task on the result. It writes
+// nothing shared, so cells may be built concurrently. Only the optimizer
+// runs under ctx; everything else runs under whole, which is not cancelled.
+func (o *Orchestrator) buildCell(ctx, whole context.Context, c cell, g *group, spec engine.Spec) builtCell {
+	b := builtCell{entry: PlanEntry{Label: c.label, Share: c.share, Configs: map[string]surface.Config{}}}
+	var terms []optimize.Objective
+	var weights []float64
+	var evals []Evaluator
+	for _, t := range c.tasks {
+		obj, weight, eval, err := o.taskTerm(whole, t, g, spec)
+		if err != nil {
+			b.failed = append(b.failed, t)
+			b.errs = append(b.errs, err)
+			continue
+		}
+		terms = append(terms, obj)
+		weights = append(weights, weight)
+		evals = append(evals, eval)
+		b.served = append(b.served, t)
+		b.entry.TaskIDs = append(b.entry.TaskIDs, t.ID)
+	}
+	if len(terms) == 0 {
+		return b
+	}
+	obj := terms[0]
+	if len(terms) > 1 {
+		ws, err := optimize.NewWeightedSum(terms, weights)
+		if err != nil {
+			b.err = err
+			return b
+		}
+		obj = ws
+	}
+	res := o.optimizeConfigs(ctx, obj, g.devs)
+	for i, cfg := range optimize.PhasesToConfigs(res.Phases) {
+		b.entry.Configs[g.devs[i].ID] = cfg
+	}
+	for _, eval := range evals {
+		b.results = append(b.results, eval(res.Phases))
+	}
+	return b
 }
 
 // scheduleSDM partitions surfaces among tasks by proximity to the task's

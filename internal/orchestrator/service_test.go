@@ -58,12 +58,18 @@ func (echoService) BuildObjective(ctx context.Context, o *Orchestrator, t *Task,
 	if !ok {
 		return nil, nil, fmt.Errorf("%w: task %d: echo wants an echoGoal", ErrGoalInvalid, t.ID)
 	}
+	return echoObjective(ctx, o, g.Pos, band, spec)
+}
+
+// echoObjective is the echo service's objective: the link objective toward
+// pos, reported under its own metric name.
+func echoObjective(ctx context.Context, o *Orchestrator, pos geom.Vec3, band Band, spec engine.Spec) (optimize.Objective, Evaluator, error) {
 	lb := band.AP.Budget
 	tc, err := o.eng.Tx(ctx, spec, band.AP.Pos)
 	if err != nil {
 		return nil, nil, err
 	}
-	ch := tc.Channel(g.Pos)
+	ch := tc.Channel(pos)
 	obj, err := optimize.NewCoverageObjective([]*rfsim.Channel{ch}, lb)
 	if err != nil {
 		return nil, nil, err
