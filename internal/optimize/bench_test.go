@@ -1,6 +1,7 @@
 package optimize
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -29,5 +30,37 @@ func BenchmarkObjectiveEval(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		obj.Eval(phases, true)
+	}
+}
+
+// linkFixture is a link objective the size of an apartment plan: one
+// cross-free channel over two 24×24 panels.
+func linkFixture() *CoverageObjective {
+	r := rand.New(rand.NewSource(43))
+	obj, err := NewCoverageObjective([]*rfsim.Channel{randChannel(r, []int{576, 576}, false)}, testBudget())
+	if err != nil {
+		panic(err)
+	}
+	return obj
+}
+
+// BenchmarkLinkSolve prices the closed-form link plan (co-phasing).
+func BenchmarkLinkSolve(b *testing.B) {
+	obj := linkFixture()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		obj.Solve()
+	}
+}
+
+// BenchmarkLinkAdam prices what the same link cost as a search: Adam for
+// 150 iterations, the apartment's OptIters.
+func BenchmarkLinkAdam(b *testing.B) {
+	obj := linkFixture()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Adam(context.Background(), obj, ZeroPhases(obj.Shape()), Options{MaxIters: 150})
 	}
 }

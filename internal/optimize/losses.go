@@ -3,6 +3,7 @@ package optimize
 import (
 	"fmt"
 	"math"
+	"math/cmplx"
 
 	"surfos/internal/em"
 	"surfos/internal/rfsim"
@@ -90,6 +91,11 @@ func (o *CoverageObjective) Eval(phases [][]float64, wantGrad bool) (float64, []
 	return loss, grad
 }
 
+// Solve returns the exact minimizer when the objective is one cascade-free
+// channel (see cophase), and nil otherwise. The loss falls as |h| rises, so
+// the co-phased configuration is optimal.
+func (o *CoverageObjective) Solve() [][]float64 { return cophase(o.Channels) }
+
 // MeanSpectralEfficiency reports the average bits/s/Hz across the
 // objective's locations at the given phases (positive form of the loss).
 func (o *CoverageObjective) MeanSpectralEfficiency(phases [][]float64) float64 {
@@ -142,6 +148,36 @@ func cohBound(ch *rfsim.Channel) float64 {
 }
 
 func cabs(c complex128) float64 { return math.Hypot(real(c), imag(c)) }
+
+// cophase maximizes |h| of a lone channel h = Direct + Σ Single·x in closed
+// form: every element turns its term onto Direct's phase, φ_sk = arg Direct −
+// arg Single_sk, so |h| reaches cohBound. With Direct == 0 the reference
+// phase is 0, and an element with a zero coefficient keeps phase 0. It
+// returns nil for more than one channel or any Cross block, which have no
+// such form.
+func cophase(chans []*rfsim.Channel) [][]float64 {
+	if len(chans) != 1 || len(chans[0].Cross) > 0 {
+		return nil
+	}
+	ch := chans[0]
+	var ref float64
+	if ch.Direct != 0 {
+		ref = cmplx.Phase(ch.Direct)
+	}
+	phases := ZeroPhases(ch.NumElements())
+	for s, coeffs := range ch.Single {
+		for k, c := range coeffs {
+			if c != 0 {
+				phases[s][k] = ref - cmplx.Phase(c)
+			}
+		}
+	}
+	return phases
+}
+
+// Solve returns the exact minimizer when the objective is one cascade-free
+// channel (see cophase), and nil otherwise.
+func (o *PowerObjective) Solve() [][]float64 { return cophase(o.Channels) }
 
 // Shape implements Objective.
 func (o *PowerObjective) Shape() []int { return o.shape }

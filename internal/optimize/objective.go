@@ -6,7 +6,8 @@
 //
 // Objectives expose analytic gradients with respect to per-element phase
 // shifts, which Adam exploits; the derivative-free baseline (random search)
-// only uses Eval.
+// only uses Eval. A coverage or power objective over one cascade-free
+// channel also returns its exact optimum from Solve (co-phasing).
 package optimize
 
 import (

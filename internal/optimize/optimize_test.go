@@ -186,6 +186,86 @@ func TestAdamReachesCoherentOptimum(t *testing.T) {
 	}
 }
 
+// solver is the optional closed-form method optimizeConfigs asks for.
+type solver interface {
+	Objective
+	Solve() [][]float64
+}
+
+// TestSolveReachesCoherentBound: on random cross-free channels, some with
+// Direct == 0 and some with zero coefficients, the co-phased configuration
+// reaches |h| = cohBound, leaves zero-coefficient elements at phase 0, and
+// no Adam@150 run on the same objective finds a lower loss.
+func TestSolveReachesCoherentBound(t *testing.T) {
+	r := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 12; trial++ {
+		shape := []int{1 + r.Intn(24), r.Intn(24)}
+		ch := randChannel(r, shape, false)
+		if trial%3 == 0 {
+			ch.Direct = 0
+		}
+		if trial%2 == 0 {
+			for s := range ch.Single {
+				for k := range ch.Single[s] {
+					if r.Intn(4) == 0 {
+						ch.Single[s][k] = 0
+					}
+				}
+			}
+		}
+		cov, _ := NewCoverageObjective([]*rfsim.Channel{ch}, testBudget())
+		pow, _ := NewPowerObjective([]*rfsim.Channel{ch})
+		for _, obj := range []solver{cov, pow} {
+			p := obj.Solve()
+			if p == nil {
+				t.Fatalf("trial %d %T: Solve declined a one-channel cross-free objective", trial, obj)
+			}
+			got, want := cmplx.Abs(ch.EvalPhasors(Phasors(p))), cohBound(ch)
+			if math.Abs(got-want) > 1e-12*want {
+				t.Errorf("trial %d %T: |h| = %v, cohBound %v", trial, obj, got, want)
+			}
+			for s := range ch.Single {
+				for k, c := range ch.Single[s] {
+					if c == 0 && p[s][k] != 0 {
+						t.Errorf("trial %d: zero-coefficient element %d/%d set to %v", trial, s, k, p[s][k])
+					}
+				}
+			}
+			loss, _ := obj.Eval(p, false)
+			adam := Adam(context.Background(), obj, ZeroPhases(shape), Options{MaxIters: 150})
+			if loss > adam.Loss+1e-12*math.Abs(adam.Loss) {
+				t.Errorf("trial %d %T: Solve loss %v above Adam's %v", trial, obj, loss, adam.Loss)
+			}
+		}
+	}
+}
+
+// TestSolveDeclines: more than one channel or a Cross block has no closed
+// form, and the objectives that mix channels do not offer one at all.
+func TestSolveDeclines(t *testing.T) {
+	r := rand.New(rand.NewSource(22))
+	shape := []int{4, 3}
+	two := []*rfsim.Channel{randChannel(r, shape, false), randChannel(r, shape, false)}
+	cross := []*rfsim.Channel{randChannel(r, shape, true)}
+	for name, chans := range map[string][]*rfsim.Channel{"two channels": two, "cross block": cross} {
+		cov, _ := NewCoverageObjective(chans, testBudget())
+		pow, _ := NewPowerObjective(chans)
+		for _, obj := range []solver{cov, pow} {
+			if obj.Solve() != nil {
+				t.Errorf("%s: %T.Solve answered", name, obj)
+			}
+		}
+	}
+	sec, _ := NewSecurityObjective(two[0], two[1], 1, testBudget())
+	cov, _ := NewCoverageObjective(two[:1], testBudget())
+	ws, _ := NewWeightedSum([]Objective{cov}, []float64{1})
+	for _, obj := range []Objective{sec, ws} {
+		if _, ok := obj.(solver); ok {
+			t.Errorf("%T implements Solve", obj)
+		}
+	}
+}
+
 func TestAdamBeatsRandomSearch(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	shape := []int{16}

@@ -20,7 +20,8 @@ import (
 type Options struct {
 	// Policy selects the multiplexing strategy (default PolicyAuto).
 	Policy MultiplexPolicy
-	// OptIters bounds the configuration optimizer (default 150).
+	// OptIters bounds the configuration optimizer, Adam (default 150);
+	// an objective solved in closed form ignores it.
 	OptIters int
 	// GridStep is the default coverage evaluation spacing in meters (0.5).
 	GridStep float64

@@ -183,9 +183,10 @@ func TestLinkBeatsOffConfig(t *testing.T) {
 }
 
 // TestQuantizedHardwareLinkPlan pins the production path on quantized
-// devices: Adam in the continuous space, one projection onto the hardware's
-// phase states. Every pushed config must already be realizable (a fixed
-// point of the driver's projection, so the reported SNR is the SNR the
+// devices: the continuous optimum (for a link, the closed-form solve), one
+// projection onto the hardware's phase states. Every pushed config must
+// already be realizable (a fixed point of the driver's projection, so the
+// reported SNR is the SNR the
 // panel delivers), and quantization must not cost more than the optimizer
 // gained: the reported SNR is at least the all-zero-phase SNR.
 func TestQuantizedHardwareLinkPlan(t *testing.T) {

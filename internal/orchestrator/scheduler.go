@@ -363,16 +363,24 @@ func (o *Orchestrator) taskTerm(ctx context.Context, t *Task, g *group, spec eng
 	return obj, svc.Weight(o, t, obj), eval, nil
 }
 
-// optimizeConfigs runs the configuration optimizer for an objective over a
-// device set. Optimization runs in the continuous element-wise space and
-// projects onto the hardware constraint set (granularity sharing, phase
-// quantization) once at the end: projecting every gradient step would snap
-// small steps back to the quantization grid and stall (the constraint set
-// is discrete), while a single final projection costs only the usual
-// quantization loss. Every run starts from zero phases.
+// optimizeConfigs computes the configuration for an objective over a device
+// set in the continuous element-wise space. An objective that knows its
+// exact optimum (Solve: one channel without cascade blocks — every link, a
+// one-point power goal) is solved in closed form; every other objective runs
+// Adam from zero phases. The result is projected onto the hardware
+// constraint set (granularity sharing, phase quantization) once at the end:
+// projecting every gradient step would snap small steps back to the
+// quantization grid and stall (the constraint set is discrete), while a
+// single final projection costs only the usual quantization loss.
 func (o *Orchestrator) optimizeConfigs(ctx context.Context, obj optimize.Objective, devs []*hwmgr.Device) optimize.Result {
 	start := time.Now()
-	res := optimize.Adam(ctx, obj, optimize.ZeroPhases(obj.Shape()), optimize.Options{MaxIters: o.Opts.OptIters})
+	var res optimize.Result
+	if s, ok := obj.(interface{ Solve() [][]float64 }); ok {
+		res.Phases = s.Solve() // no evaluations
+	}
+	if res.Phases == nil {
+		res = optimize.Adam(ctx, obj, optimize.ZeroPhases(obj.Shape()), optimize.Options{MaxIters: o.Opts.OptIters})
+	}
 	o.observeOptimize(time.Since(start), res)
 	res.Phases = projectPhases(devs, res.Phases)
 	res.Loss, _ = obj.Eval(res.Phases, false)
