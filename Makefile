@@ -71,8 +71,7 @@ test-failover:
 # test-mobility replays the churn-hardening suite under the race detector
 # at the fault seeds: the discrete-event scenario engine, per-region
 # TxContext invalidation (wall thrash in one room leaves other rooms'
-# traces hot), governed re-plan coalescing with bounded staleness, and
-# cross-domain handoff with zero task loss, plus the plan-frame and
+# traces hot), and cross-domain handoff with zero task loss, plus the plan-frame and
 # plan-bytes pins of the one plan builder the handoffs re-plan through.
 # The mobility experiment's per-seed golden (byte-identical replay) runs
 # inside the same pass.
@@ -80,7 +79,7 @@ test-mobility:
 	@for seed in $(FAULT_SEEDS); do \
 		echo "== mobility suite, seed $$seed =="; \
 		SURFOS_FAULT_SEED=$$seed $(GO) test -race -count=1 \
-			-run 'Mobility|Governor|MoveTask|Carry|Thrash|Edit|Handoff|Poisson|Orders|Clamps|StopsOnFirstError|Frame|PlanBytes' \
+			-run 'Mobility|MoveTask|Carry|Thrash|Edit|Handoff|Poisson|Orders|Clamps|StopsOnFirstError|Frame|PlanBytes' \
 			./internal/scenario ./internal/scene ./internal/engine \
 			./internal/orchestrator ./internal/ctrlproto ./internal/monitor \
 			./internal/experiments ./cmd/... || exit 1; \
@@ -114,13 +113,13 @@ bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
 # test-parallel reruns the sensing and engine suites, and the orchestrator's
-# plan-bytes, frame and race tests (a plan's cells are built concurrently),
-# at several GOMAXPROCS values (-cpu multiplies each test): Engine.ForEach
+# plan-bytes, frame, race and coalescing tests (a plan's cells are built
+# concurrently; one reconcile pass runs at a time), at several GOMAXPROCS values (-cpu multiplies each test): Engine.ForEach
 # fan-outs must stay bit-identical to serial whether the runtime has 1, 2,
 # or 4 procs.
 test-parallel:
 	$(GO) test -count=1 -cpu=1,2,4 ./internal/sensing/ ./internal/engine/
-	$(GO) test -count=1 -cpu=1,2,4 -run 'PlanBytes|Frame|Race' ./internal/orchestrator/
+	$(GO) test -count=1 -cpu=1,2,4 -run 'PlanBytes|Frame|Race|Coalesce' ./internal/orchestrator/
 
 fmt:
 	gofmt -l -w .

@@ -10,7 +10,7 @@
 // the full profile runs at paper-like fidelity and takes minutes.
 //
 // The mobility experiment (churn scenario: walking users, Poisson task
-// arrivals, wall toggles, governed re-plans) renders a deterministic
+// arrivals, wall toggles, per-domain re-plans) renders a deterministic
 // per-seed timeline, so `all` includes it. Performance is not measured
 // here: BENCHMARK.json (`go run ./bench/loop`) is the bench record.
 package main

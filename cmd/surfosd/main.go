@@ -38,13 +38,10 @@
 // (-health-interval; 0 disables) probes devices, feeds the health tracker,
 // and the orchestrator re-plans around devices that die.
 //
-// The -replan-* flags enable the churn governor: task-scoped mutations
-// mark their interference domain dirty instead of re-planning inline, a
-// per-domain token bucket (-replan-burst, -replan-refill) coalesces
-// bursts, and -replan-staleness bounds how stale a dirty domain's plan
-// may get before a re-plan is forced. Governor counters are exported on
-// -metrics (surfos_replans_total, surfos_replans_suppressed_total,
-// surfos_replan_duration_seconds).
+// Every mutating verb re-plans the interference domain it touched before
+// it replies. The orchestrator runs one reconcile pass at a time and folds
+// every request that arrives during a pass into the next one, so a burst
+// of churn costs one more pass, not one pass per request.
 package main
 
 import (
@@ -101,15 +98,6 @@ type daemonOptions struct {
 	quotas map[string]surfos.TenantQuota
 	// maxConns caps concurrent northbound connections (0 = default).
 	maxConns int
-	// replanBurst enables the replan governor when > 0: each interference
-	// domain may re-plan this many times back-to-back before churn is
-	// coalesced (0 keeps the legacy immediate re-plan path).
-	replanBurst int
-	// replanRefill is the governor's token refill interval (0 = default).
-	replanRefill time.Duration
-	// replanStaleness bounds how long a dirty domain may serve a stale
-	// plan before a re-plan is forced (0 = default).
-	replanStaleness time.Duration
 	// replicateTo lists follower -listen addresses to ship the WAL to
 	// (comma-separated; empty disables replication).
 	replicateTo string
@@ -140,9 +128,6 @@ type daemon struct {
 	// healStop unsubscribes the self-healing consumer from the event bus
 	healStop func()
 	ctrl     *ctrlproto.CtrlAgent
-	// gov coalesces churn-driven re-plans per interference domain (nil
-	// unless -replan-burst enabled it).
-	gov *surfos.Governor
 
 	// Durability (nil without -state-dir): the journal consumes the task
 	// event bus and persists specs and transitions to the state dir.
@@ -256,37 +241,6 @@ func newDaemon(ctx context.Context, surfaceList string, opts daemonOptions) (*da
 	}
 	orch.SetEventBus(d.events)
 	d.orch = orch
-	if opts.replanBurst > 0 {
-		d.gov = surfos.NewGovernor(orch, surfos.GovernorOptions{
-			Burst:        opts.replanBurst,
-			Refill:       opts.replanRefill,
-			MaxStaleness: opts.replanStaleness,
-		})
-		g := d.gov.Options()
-		log.Printf("replan governor: burst=%d refill=%s max-staleness=%s",
-			g.Burst, g.Refill, g.MaxStaleness)
-		// Deadline enforcement: a dirty domain whose tokens never refill in
-		// time still re-plans within MaxStaleness. Polling at a quarter of
-		// the bound keeps the observed staleness close to it.
-		every := g.MaxStaleness / 4
-		if every < 50*time.Millisecond {
-			every = 50 * time.Millisecond
-		}
-		go func() {
-			t := time.NewTicker(every)
-			defer t.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case now := <-t.C:
-					if _, err := d.gov.Poll(ctx, now); err != nil && ctx.Err() == nil {
-						log.Printf("replan governor: %v", err)
-					}
-				}
-			}
-		}()
-	}
 	if opts.admitMax > 0 {
 		orch.SetAdmissionLimit(opts.admitMax)
 		log.Printf("admission: global live-task cap %d", opts.admitMax)
@@ -338,9 +292,8 @@ func newDaemon(ctx context.Context, surfaceList string, opts daemonOptions) (*da
 	ctrl.Events = d.events
 	ctrl.Monitor = mon
 	ctrl.Reconcile = orch.Reconcile
-	// Task-scoped mutations re-plan only the task's interference domain —
-	// through the governor when enabled, so northbound churn coalesces.
-	ctrl.ReconcileTask = d.replanTask
+	// Task-scoped mutations re-plan only the task's interference domain.
+	ctrl.ReconcileTask = orch.ReconcileTask
 	ctrl.ControlHealth = d.controlHealth
 	// Standby daemons (followers, fenced ex-primaries) reject mutations
 	// with StatusNotLeader so clients rotate to the promoted primary.
@@ -349,19 +302,6 @@ func newDaemon(ctx context.Context, surfaceList string, opts daemonOptions) (*da
 	ctrl.Logf = log.Printf
 	d.ctrl = ctrl
 	return d, nil
-}
-
-// replanTask re-plans after a task-scoped mutation: through the governor
-// when -replan-burst enabled it (marking the task's domain dirty and
-// letting the token bucket decide), directly otherwise.
-func (d *daemon) replanTask(ctx context.Context, taskID int) error {
-	if d.gov == nil {
-		return d.orch.ReconcileTask(ctx, taskID)
-	}
-	now := time.Now()
-	d.gov.MarkTask(taskID, now)
-	_, err := d.gov.Poll(ctx, now)
-	return err
 }
 
 // controlHealth assembles the control plane's own health snapshot for the
@@ -409,9 +349,6 @@ func (d *daemon) controlHealth() ctrlproto.ControlHealthInfo {
 // attach.
 func (d *daemon) registerMetrics(reg *metrics.Registry) {
 	d.orch.RegisterMetrics(reg)
-	if d.gov != nil {
-		d.gov.RegisterMetrics(reg)
-	}
 	d.hw.RegisterMetrics(reg)
 	d.events.RegisterMetrics(reg)
 	if d.getJournal() != nil || d.follower != nil {
@@ -733,9 +670,6 @@ func main() {
 	admitMax := flag.Int("admit-max", 0, "global live-task admission cap (0 disables)")
 	tenantQuotas := flag.String("tenant-quota", "", "per-tenant admission quotas, NAME=MAX[:WEIGHT],...")
 	maxConns := flag.Int("max-conns", defaultMaxNorthboundConns, "northbound concurrent-connection cap")
-	replanBurst := flag.Int("replan-burst", 0, "replan governor token-bucket burst per domain (0 disables the governor)")
-	replanRefill := flag.Duration("replan-refill", 0, "replan governor token refill interval (0 = default 500ms)")
-	replanStaleness := flag.Duration("replan-staleness", 0, "bound on how long a dirty domain may serve a stale plan (0 = default 2s)")
 	replicateTo := flag.String("replicate-to", "", "comma-separated follower -listen addresses to ship the journal to (empty disables)")
 	follow := flag.Bool("follow", false, "run as a warm standby: replay replication received on -listen, promote on lease expiry")
 	leaseTTL := flag.Duration("lease-ttl", defaultLeaseTTL, "leadership lease duration (standby promotes this long after the last heartbeat)")
@@ -746,20 +680,17 @@ func main() {
 		log.Fatalf("surfosd: -tenant-quota: %v", err)
 	}
 	if err := run(*listen, *metricsAddr, *surfaceList, *stateDir, daemonOptions{
-		faultSeed:       *faultSeed,
-		faultProb:       *faultProb,
-		faultStuck:      *faultStuck,
-		faultLatency:    *faultLatency,
-		healthEvery:     *healthEvery,
-		admitMax:        *admitMax,
-		quotas:          quotas,
-		maxConns:        *maxConns,
-		replanBurst:     *replanBurst,
-		replanRefill:    *replanRefill,
-		replanStaleness: *replanStaleness,
-		replicateTo:     *replicateTo,
-		follow:          *follow,
-		leaseTTL:        *leaseTTL,
+		faultSeed:    *faultSeed,
+		faultProb:    *faultProb,
+		faultStuck:   *faultStuck,
+		faultLatency: *faultLatency,
+		healthEvery:  *healthEvery,
+		admitMax:     *admitMax,
+		quotas:       quotas,
+		maxConns:     *maxConns,
+		replicateTo:  *replicateTo,
+		follow:       *follow,
+		leaseTTL:     *leaseTTL,
 	}); err != nil {
 		log.Fatalf("surfosd: %v", err)
 	}

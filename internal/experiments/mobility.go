@@ -17,28 +17,17 @@ import (
 	"surfos/internal/telemetry"
 )
 
-// Mobility governor tuning: a one-replan burst with a slow refill, so
-// the scripted churn storm is deliberately over budget, and a tight
-// staleness deadline that bounds how stale any plan may get. All virtual
-// time.
-const (
-	mobilityBurst     = 1
-	mobilityRefill    = 2 * time.Second
-	mobilityStaleness = 1200 * time.Millisecond
-)
-
 // MobilityResult is the churn-hardening experiment: a three-room strip
 // (one interference domain per room, AP in room 0) driven by a seeded
 // discrete-event scenario — Poisson task arrivals and departures, a
 // screen wall thrashing in room 1, and a user walking their link task
-// across the room-0/room-1 boundary — with every re-plan flowing through
-// the rate-limiting governor.
+// across the room-0/room-1 boundary — with every event re-planning the
+// domains it touched.
 //
-// The claims it demonstrates: churn beyond the re-plan budget coalesces
-// (suppressed re-plans counted, staleness bounded by the deadline, not
-// by churn rate); a wall edit in room 1 re-keys rooms 0/2's cached
-// traces instead of evicting them (per-region invalidation); and the
-// walker crosses shards through an explicit handoff with zero task loss.
+// The claims it demonstrates: a wall edit in room 1 re-keys rooms 0/2's
+// cached traces instead of evicting them (per-region invalidation); and
+// the walker crosses shards through an explicit handoff with zero task
+// loss.
 type MobilityResult struct {
 	Profile Profile
 	Seed    int64
@@ -51,15 +40,8 @@ type MobilityResult struct {
 	Toggles    int
 	// Handoffs is how many walks crossed an interference-domain boundary.
 	Handoffs int
-	// Governor counters: re-plans run, churn events coalesced into a
-	// pending re-plan, re-plans forced by the staleness deadline.
-	Replans    uint64
-	Suppressed uint64
-	Forced     uint64
-	// MaxStalenessMillis is the worst observed dirty-to-replan latency
-	// (virtual); StalenessBoundMillis the configured deadline.
-	MaxStalenessMillis   float64
-	StalenessBoundMillis float64
+	// Replans is the shard reconciles the run made, summed over shards.
+	Replans uint64
 	// TxMisses/TxCarried are the channel engine's trace re-builds vs.
 	// traces carried across scene revisions without re-tracing.
 	TxMisses  uint64
@@ -70,7 +52,7 @@ type MobilityResult struct {
 	AnchorMigrations int
 	FailedTasks      int
 	// RunningAtEnd/DoneAtEnd partition the submitted tasks after the
-	// final flush.
+	// final reconcile.
 	RunningAtEnd int
 	DoneAtEnd    int
 }
@@ -128,16 +110,10 @@ func RunMobility(ctx context.Context, p Profile, seed int64) (*MobilityResult, e
 	defer unsub()
 	orch.SetEventBus(bus)
 
-	gov := orchestrator.NewGovernor(orch, orchestrator.GovernorOptions{
-		Burst: mobilityBurst, Refill: mobilityRefill, MaxStaleness: mobilityStaleness,
-	})
 	sc := scenario.New(seed)
-	drv := scenario.NewDriver(sc, orch, gov)
+	drv := scenario.NewDriver(sc, orch)
 
-	out := &MobilityResult{
-		Profile: p, Seed: seed,
-		StalenessBoundMillis: float64(mobilityStaleness / time.Millisecond),
-	}
+	out := &MobilityResult{Profile: p, Seed: seed}
 
 	// Anchors: one long-lived link per room. Rooms 0 and 2 never see an
 	// edit or a walker — their tasks must neither migrate nor re-trace.
@@ -160,8 +136,7 @@ func RunMobility(ctx context.Context, p Profile, seed int64) (*MobilityResult, e
 		out.Departures++
 	}
 
-	// Room-1 wall churn: six screen toggles 100ms apart — far over the
-	// one-replan budget with its 2s refill, so the governor must coalesce.
+	// Room-1 wall churn: six screen toggles 100ms apart.
 	const toggles = 6
 	for i := 0; i < toggles; i++ {
 		off := 0.3 * float64(i%3)
@@ -190,8 +165,8 @@ func RunMobility(ctx context.Context, p Profile, seed int64) (*MobilityResult, e
 	}
 	out.Walks = steps
 
-	// Epilogue: flush every pending re-plan so the final table is settled.
-	drv.Flush(4200 * time.Millisecond)
+	// Epilogue: re-plan every domain so the final table is settled.
+	drv.Reconcile(4200 * time.Millisecond)
 
 	if err := sc.Run(ctx); err != nil {
 		return nil, err
@@ -201,9 +176,9 @@ func RunMobility(ctx context.Context, p Profile, seed int64) (*MobilityResult, e
 		out.Timeline = append(out.Timeline, rec.String())
 	}
 	out.Handoffs = drv.Handoffs()
-	st := gov.Stats()
-	out.Replans, out.Suppressed, out.Forced = st.Replans, st.Suppressed, st.Forced
-	out.MaxStalenessMillis = float64(st.MaxStaleness) / float64(time.Millisecond)
+	for _, sh := range orch.ShardStats() {
+		out.Replans += sh.Reconciles
+	}
 	cs := eng.CacheStats()
 	out.TxMisses, out.TxCarried = cs.TxMisses, cs.TxCarried
 
@@ -241,17 +216,6 @@ func RunMobility(ctx context.Context, p Profile, seed int64) (*MobilityResult, e
 // hold.
 func (r *MobilityResult) ShapeCheck() string {
 	var probs []string
-	if r.Suppressed == 0 {
-		probs = append(probs, "over-budget churn produced no suppressed re-plans")
-	}
-	if r.Forced == 0 {
-		probs = append(probs, "staleness deadline never forced a re-plan")
-	}
-	// The deadline bounds staleness up to the gap until the next event
-	// gives the governor a chance to act (events are ≤500ms apart here).
-	if r.MaxStalenessMillis > r.StalenessBoundMillis+500 {
-		probs = append(probs, fmt.Sprintf("staleness %.0fms exceeds the %.0fms deadline beyond the event gap", r.MaxStalenessMillis, r.StalenessBoundMillis))
-	}
 	if r.Handoffs == 0 {
 		probs = append(probs, "walker crossed the domain boundary without a handoff")
 	}
@@ -283,7 +247,7 @@ func (r *MobilityResult) ShapeCheck() string {
 // wall-clock values appear: the output is byte-identical per seed.
 func (r *MobilityResult) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Mobility: governed re-plans under scripted churn (%s profile, seed %d)\n\n", r.Profile, r.Seed)
+	fmt.Fprintf(&b, "Mobility: re-plans under scripted churn (%s profile, seed %d)\n\n", r.Profile, r.Seed)
 	b.WriteString("timeline (virtual):\n")
 	for _, line := range r.Timeline {
 		fmt.Fprintf(&b, "  %s\n", line)
@@ -294,9 +258,6 @@ func (r *MobilityResult) Render() string {
 	t.Add("wall toggles (room 1)", fmt.Sprintf("%d", r.Toggles))
 	t.Add("walker steps / handoffs", fmt.Sprintf("%d / %d", r.Walks, r.Handoffs))
 	t.Add("re-plans run", fmt.Sprintf("%d", r.Replans))
-	t.Add("re-plans suppressed", fmt.Sprintf("%d", r.Suppressed))
-	t.Add("re-plans forced (deadline)", fmt.Sprintf("%d", r.Forced))
-	t.Add("max staleness", fmt.Sprintf("%.0f ms (bound %.0f ms)", r.MaxStalenessMillis, r.StalenessBoundMillis))
 	t.Add("traces rebuilt / carried", fmt.Sprintf("%d / %d", r.TxMisses, r.TxCarried))
 	t.Add("anchor migrations (rooms 0/2)", fmt.Sprintf("%d", r.AnchorMigrations))
 	t.Add("tasks running / done at end", fmt.Sprintf("%d / %d", r.RunningAtEnd, r.DoneAtEnd))
@@ -304,7 +265,7 @@ func (r *MobilityResult) Render() string {
 	if s := r.ShapeCheck(); s != "" {
 		fmt.Fprintf(&b, "\nSHAPE CHECK FAILED: %s\n", s)
 	} else {
-		b.WriteString("\nshape check: churn coalesced, staleness bounded, untouched rooms stayed hot, handoff lost nothing\n")
+		b.WriteString("\nshape check: untouched rooms stayed hot, handoff lost nothing\n")
 	}
 	return b.String()
 }

@@ -23,8 +23,7 @@ func mobilitySeed(t *testing.T) int64 {
 }
 
 // TestMobilityShape runs the churn scenario and checks every hardening
-// claim: coalescing under over-budget churn, bounded staleness, forced
-// deadline re-plans, per-region trace survival, handoff with zero loss.
+// claim: per-region trace survival, no failures, handoff with zero loss.
 func TestMobilityShape(t *testing.T) {
 	seed := mobilitySeed(t)
 	r, err := RunMobility(context.Background(), Quick, seed)

@@ -95,6 +95,19 @@ func checkCancelledReconcile(t *testing.T, o *Orchestrator, err error) {
 	if !errors.Is(err, ErrOptimizeStopped) {
 		t.Errorf("reconcile err = %v, want ErrOptimizeStopped", err)
 	}
+	for _, task := range o.Tasks() {
+		if task.State == TaskFailed {
+			t.Errorf("task %d failed: %v", task.ID, task.Err)
+		}
+	}
+	checkPlannedOnce(t, o)
+}
+
+// checkPlannedOnce asserts that every running task is served by exactly one
+// entry of the committed plans, and returns how many entries serve each
+// task ID.
+func checkPlannedOnce(t *testing.T, o *Orchestrator) map[int]int {
+	t.Helper()
 	entries := map[int]int{}
 	for _, p := range o.Plans() {
 		for _, e := range p.Entries {
@@ -104,13 +117,11 @@ func checkCancelledReconcile(t *testing.T, o *Orchestrator, err error) {
 		}
 	}
 	for _, task := range o.Tasks() {
-		if task.State == TaskFailed {
-			t.Errorf("task %d failed: %v", task.ID, task.Err)
-		}
 		if task.State == TaskRunning && entries[task.ID] != 1 {
 			t.Errorf("running task %d is in %d committed plan entries, want 1", task.ID, entries[task.ID])
 		}
 	}
+	return entries
 }
 
 // TestCancelledReconcileFailsNoTask: a cancel that lands while a TDM plan's

@@ -56,7 +56,7 @@ type MoveResult struct {
 // the pending state, and a "handoff" lifecycle event fires — the task is
 // never dropped. Within-domain moves just update the goal; either way
 // the serving plan is stale until the next re-plan, which the caller
-// (typically a replan governor) schedules.
+// requests (ReconcileTask).
 func (o *Orchestrator) MoveTask(id int, pos geom.Vec3) (MoveResult, error) {
 	res, shrunk, err := o.moveTask(id, pos)
 	if err != nil {

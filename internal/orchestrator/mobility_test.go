@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"surfos/internal/em"
 	"surfos/internal/engine"
@@ -206,15 +205,13 @@ func TestWallThrashKeepsUntouchedDomainsHot(t *testing.T) {
 		t.Fatalf("rooms 0/2 carried %d traces, want 2; stats %+v base %+v", carried, st, base)
 	}
 
-	// Thrash phase under the race detector: wall toggles + governed
+	// Thrash phase under the race detector: wall toggles + room-1
 	// re-plans vs. task churn in the untouched rooms vs. a walker handing
 	// off between rooms 0 and 1.
 	walker, err := r.o.EnhanceLink(ctx, LinkGoal{Endpoint: "walker", Pos: scene.RoomCenter(0)}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gov := NewGovernor(r.o, GovernorOptions{Burst: 2, Refill: 20 * time.Millisecond, MaxStaleness: 100 * time.Millisecond})
-
 	const toggles = 12
 	preRace := eng.CacheStats()
 	var wg sync.WaitGroup
@@ -228,9 +225,8 @@ func TestWallThrashKeepsUntouchedDomainsHot(t *testing.T) {
 				t.Errorf("toggle %d: %v", i, err)
 				return
 			}
-			gov.Mark(1, time.Now())
-			if _, err := gov.Poll(ctx, time.Now()); err != nil {
-				t.Errorf("poll %d: %v", i, err)
+			if err := r.o.ReconcileDomain(ctx, 1); err != nil {
+				t.Errorf("reconcile %d: %v", i, err)
 				return
 			}
 		}
@@ -261,17 +257,13 @@ func TestWallThrashKeepsUntouchedDomainsHot(t *testing.T) {
 				t.Errorf("walk %d: %v", i, err)
 				return
 			}
-			gov.MarkTask(walker.ID, time.Now())
-			if _, err := gov.Poll(ctx, time.Now()); err != nil {
-				t.Errorf("walker poll: %v", err)
+			if err := r.o.ReconcileTask(ctx, walker.ID); err != nil {
+				t.Errorf("walker reconcile: %v", err)
 				return
 			}
 		}
 	}()
 	wg.Wait()
-	if err := gov.Flush(ctx, time.Now()); err != nil {
-		t.Fatal(err)
-	}
 	if err := r.o.Reconcile(ctx); err != nil {
 		t.Fatal(err)
 	}

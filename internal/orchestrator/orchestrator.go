@@ -67,6 +67,10 @@ type Orchestrator struct {
 
 	eng *engine.Engine
 
+	// passMu lets one reconcile pass run at a time (reconcileDomains).
+	// Lock order: passMu → geoMu → mu.
+	passMu sync.Mutex
+
 	// geoMu serializes scene geometry edits (EditScene, write lock)
 	// against the orchestrator's scene readers (reconciles, routing,
 	// partition rebuilds — read lock). It is always acquired before mu
@@ -78,6 +82,8 @@ type Orchestrator struct {
 	nextID int
 	now    time.Time
 	events *telemetry.EventBus
+	// batch collects the re-plan requests the next pass will serve.
+	batch *replanBatch
 
 	// Interference-domain sharding (shard.go). shards is rebuilt lazily
 	// whenever the scene revision or the device set changes; partRev and

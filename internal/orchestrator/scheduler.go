@@ -47,6 +47,9 @@ type group struct {
 // committed, so a cancel neither fails a task nor drops a running task
 // from the plans. Shards that had not started keep their previous plans.
 // The ctx error is returned wrapped in ErrOptimizeStopped.
+//
+// Passes never overlap: a request that arrives while one runs is folded,
+// with every other such request, into the next pass (reconcileDomains).
 func (o *Orchestrator) Reconcile(ctx context.Context) error {
 	return o.reconcileDomains(ctx, nil)
 }
@@ -74,13 +77,78 @@ func (o *Orchestrator) ReconcileTask(ctx context.Context, taskID int) error {
 	return o.ReconcileDomain(ctx, domain)
 }
 
-// reconcileDomains schedules the selected shards (nil = all). Shards run
-// concurrently via the engine's worker pool, writing results by index;
-// commit happens under the lock in domain order.
+// replanBatch is the re-plan requests one pass serves: the domains they
+// named, or all of them once a request named none. The fields that
+// requests fill in are guarded by o.mu until the pass takes the batch;
+// done and err are written and read under o.passMu.
+type replanBatch struct {
+	all      bool
+	domains  map[int]bool
+	requests int // callers folded into the batch
+	done     bool
+	err      error
+}
+
+// selection is the batch's domains in ascending order, nil for all.
+func (b *replanBatch) selection() []int {
+	if b.all {
+		return nil
+	}
+	out := make([]int, 0, len(b.domains))
+	for d := range b.domains {
+		out = append(out, d)
+	}
+	sort.Ints(out)
+	return out
+}
+
+// reconcileDomains is the one entry behind every re-plan: Reconcile,
+// ReconcileDomain, ReconcileTask, Tick expiry and self-healing. It re-plans
+// the selected shards (nil = all), one pass at a time. A request joins the
+// pending batch and then waits for the pass lock; the caller that takes it
+// runs the whole batch — every request queued so far — as one pass, and a
+// caller whose batch a finished pass already served returns that pass's
+// error (one whose ctx ended while it waited runs nothing). So a burst of requests costs one pass, and no caller returns
+// before a pass that started after its request has committed.
 func (o *Orchestrator) reconcileDomains(ctx context.Context, domains []int) error {
 	if err := ctxErr(ctx); err != nil {
 		return err
 	}
+	o.mu.Lock()
+	b := o.batch
+	if b == nil {
+		b = &replanBatch{domains: map[int]bool{}}
+		o.batch = b
+	}
+	b.requests++
+	b.all = b.all || domains == nil
+	for _, d := range domains {
+		b.domains[d] = true
+	}
+	o.mu.Unlock()
+
+	o.passMu.Lock()
+	defer o.passMu.Unlock()
+	if b.done {
+		return b.err
+	}
+	if err := ctxErr(ctx); err != nil {
+		// A caller that gave up while queued leaves the batch to the next
+		// one: the other requests in it are not its to cancel.
+		return err
+	}
+	o.mu.Lock()
+	o.batch = nil // later requests wait for the next pass
+	o.mu.Unlock()
+	b.err = o.pass(ctx, b.selection())
+	b.done = true
+	return b.err
+}
+
+// pass schedules the selected shards (nil = all); the caller holds passMu.
+// Shards run concurrently via the engine's worker pool, writing results by
+// index; commit happens under the lock in domain order.
+func (o *Orchestrator) pass(ctx context.Context, domains []int) error {
 	// Exclude geometry edits for the whole pass: the ray traces and
 	// partition below read the scene, and EditScene writers wait until
 	// the plan commits.
@@ -127,18 +195,20 @@ func (o *Orchestrator) reconcileDomains(ctx context.Context, domains []int) erro
 	})
 
 	o.mu.Lock()
+	var shrunk []*Plan
 	for i, sh := range sel {
 		if !commit[i] {
 			continue
 		}
-		// A task that went terminal between the reconcile snapshot and
-		// this commit (a concurrent EndTask) leaves the plans it was just
-		// given, so committed plans only ever reference live tasks.
+		// A task that was ended or parked between the reconcile snapshot
+		// and this commit (a concurrent EndTask or SetIdle) leaves the
+		// plans it was just given, so committed plans only ever reference
+		// tasks that are still pending or running.
 		sh.plans = results[i]
-		sh.dropTasks(func(tid int) bool {
+		shrunk = append(shrunk, sh.dropTasks(func(tid int) bool {
 			t, ok := o.tasks[tid]
-			return ok && (t.State == TaskDone || t.State == TaskFailed)
-		})
+			return ok && !t.active()
+		})...)
 		sh.lastReconcile = durs[i]
 		sh.reconciles++
 		if o.latHist != nil {
@@ -146,6 +216,9 @@ func (o *Orchestrator) reconcileDomains(ctx context.Context, domains []int) erro
 		}
 	}
 	o.mu.Unlock()
+	// The devices were written with the dropped tasks' entries; give them
+	// the committed codebooks.
+	o.reapply(shrunk)
 
 	var firstErr error
 	for _, err := range errs {
@@ -264,8 +337,12 @@ func (o *Orchestrator) failTask(t *Task, err error) {
 }
 
 // failLocked marks a task failed and emits the lifecycle event; the caller
-// holds o.mu.
+// holds o.mu. A task ended or parked since the pass took its snapshot keeps
+// its state.
 func (o *Orchestrator) failLocked(t *Task, err error) {
+	if !t.active() {
+		return
+	}
 	t.State = TaskFailed
 	t.Err = err
 	o.emitLocked(t, telemetry.TaskFailed)
@@ -444,14 +521,18 @@ func (o *Orchestrator) applyEntries(devs []*hwmgr.Device, entries []PlanEntry) e
 }
 
 // markRunning finalizes task state and results, emitting the scheduled and
-// running lifecycle events.
+// running lifecycle events. A task ended or parked since the pass took its
+// snapshot keeps its state, and the commit drops it from the plan.
 func (o *Orchestrator) markRunning(t *Task, res *Result) {
 	o.mu.Lock()
+	defer o.mu.Unlock()
+	if !t.active() {
+		return
+	}
 	t.State = TaskRunning
 	t.Result = res
 	o.emitLocked(t, telemetry.TaskScheduled)
 	o.emitLocked(t, telemetry.TaskRunning)
-	o.mu.Unlock()
 }
 
 // cell is one plan entry in the making: the tasks that will share one

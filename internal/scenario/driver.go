@@ -11,43 +11,37 @@ import (
 )
 
 // Driver binds an Engine to a live orchestrator stack: it wires the
-// virtual-clock hooks (orchestrator tick, governor poll) and provides
-// the canned churn actions — task arrival and departure, a user walking
-// their task across the floor, and scene edits — each of which marks the
-// affected interference domains dirty on the governor instead of
-// re-planning inline. Tasks are addressed by scenario-local names, since
-// orchestrator IDs do not exist until the arrival event actually runs.
+// virtual-clock hook (orchestrator tick) and provides the canned churn
+// actions — task arrival and departure, a user walking their task across
+// the floor, and scene edits — each of which re-plans the interference
+// domains it touched before it returns. Tasks are addressed by
+// scenario-local names, since orchestrator IDs do not exist until the
+// arrival event actually runs.
 type Driver struct {
 	Eng  *Engine
 	Orch *orchestrator.Orchestrator
-	// Gov rate-limits the re-plans the churn provokes. Nil runs ungoverned:
-	// actions mark nothing and nothing polls (callers reconcile manually).
-	Gov *orchestrator.Governor
 
 	tasks    map[string]int
 	handoffs int
 }
 
-// NewDriver wires a driver and installs the engine hooks.
-func NewDriver(eng *Engine, orch *orchestrator.Orchestrator, gov *orchestrator.Governor) *Driver {
-	d := &Driver{Eng: eng, Orch: orch, Gov: gov, tasks: make(map[string]int)}
+// NewDriver wires a driver and installs the engine's clock hook.
+func NewDriver(eng *Engine, orch *orchestrator.Orchestrator) *Driver {
+	d := &Driver{Eng: eng, Orch: orch, tasks: make(map[string]int)}
 	eng.OnAdvance = func(ctx context.Context, dt time.Duration) error {
 		return orch.Tick(ctx, dt)
-	}
-	if gov != nil {
-		eng.AfterEvent = func(ctx context.Context, now time.Time) error {
-			_, err := gov.Poll(ctx, now)
-			return err
-		}
 	}
 	return d
 }
 
-// mark dirties one domain, when governed.
-func (d *Driver) mark(domain int) {
-	if d.Gov != nil {
-		d.Gov.Mark(domain, d.Eng.Now())
+// replan re-plans each listed domain.
+func (d *Driver) replan(ctx context.Context, domains ...int) error {
+	for _, dom := range domains {
+		if err := d.Orch.ReconcileDomain(ctx, dom); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // TaskID resolves a scenario task name, once its arrival has run.
@@ -67,8 +61,7 @@ func (d *Driver) Arrive(at time.Duration, name string, kind orchestrator.Service
 			return "", err
 		}
 		d.tasks[name] = t.ID
-		d.mark(t.Domain)
-		return fmt.Sprintf("task %d in domain %d", t.ID, t.Domain), nil
+		return fmt.Sprintf("task %d in domain %d", t.ID, t.Domain), d.replan(ctx, t.Domain)
 	})
 }
 
@@ -86,8 +79,7 @@ func (d *Driver) Depart(at time.Duration, name string) {
 		if err := d.Orch.EndTask(id); err != nil {
 			return "", err
 		}
-		d.mark(t.Domain)
-		return fmt.Sprintf("task %d from domain %d", id, t.Domain), nil
+		return fmt.Sprintf("task %d from domain %d", id, t.Domain), d.replan(ctx, t.Domain)
 	})
 }
 
@@ -103,18 +95,16 @@ func (d *Driver) Walk(at time.Duration, name string, pos geom.Vec3) {
 		if err != nil {
 			return "", err
 		}
-		d.mark(res.To)
 		if res.HandedOff {
 			d.handoffs++
-			d.mark(res.From)
-			return fmt.Sprintf("task %d handoff domain %d -> %d", id, res.From, res.To), nil
+			return fmt.Sprintf("task %d handoff domain %d -> %d", id, res.From, res.To), d.replan(ctx, res.From, res.To)
 		}
-		return fmt.Sprintf("task %d within domain %d", id, res.To), nil
+		return fmt.Sprintf("task %d within domain %d", id, res.To), d.replan(ctx, res.To)
 	})
 }
 
 // Edit schedules a batched scene mutation (wall/door toggles, screens
-// moving), dirtying exactly the listed interference domains — the
+// moving) and re-plans exactly the listed interference domains — the
 // per-region invalidation contract: domains the edit cannot reach keep
 // serving their current plans and their cached traces stay hot.
 func (d *Driver) Edit(at time.Duration, name string, domains []int, fn func(*scene.Scene) error) {
@@ -122,20 +112,14 @@ func (d *Driver) Edit(at time.Duration, name string, domains []int, fn func(*sce
 		if err := d.Orch.EditScene(fn); err != nil {
 			return "", err
 		}
-		for _, dom := range domains {
-			d.mark(dom)
-		}
-		return fmt.Sprintf("dirtied domains %v", domains), nil
+		return fmt.Sprintf("re-planned domains %v", domains), d.replan(ctx, domains...)
 	})
 }
 
-// Flush schedules a governor flush — the scenario epilogue that leaves
-// no churn pending so final assertions see a settled plant.
-func (d *Driver) Flush(at time.Duration) {
-	d.Eng.At(at, "flush", func(ctx context.Context) (string, error) {
-		if d.Gov == nil {
-			return "", d.Orch.Reconcile(ctx)
-		}
-		return "", d.Gov.Flush(ctx, d.Eng.Now())
+// Reconcile schedules a full re-plan of every domain — the scenario
+// epilogue, so final assertions see a settled plant.
+func (d *Driver) Reconcile(at time.Duration) {
+	d.Eng.At(at, "reconcile", func(ctx context.Context) (string, error) {
+		return "", d.Orch.Reconcile(ctx)
 	})
 }

@@ -6,9 +6,8 @@
 // The engine owns a virtual clock and a seeded RNG; events execute
 // strictly in (time, insertion) order on the caller's goroutine, so the
 // same seed replays the same timeline byte for byte. Wall-clock time
-// never enters the loop: hooks advance the orchestrator's virtual clock
-// and poll the replan governor at each event's virtual timestamp, which
-// means a 10-minute mobility scenario runs in however long its
+// never enters the loop: a hook advances the orchestrator's virtual clock
+// to each event's virtual timestamp, which means a 10-minute mobility scenario runs in however long its
 // optimizations take, and its rendered timeline is golden-checkable.
 package scenario
 
@@ -21,8 +20,8 @@ import (
 )
 
 // Epoch anchors the virtual clock. It matches the orchestrator's
-// convention of starting its clock at the Unix epoch, so governor
-// deadlines and task deadlines line up with scenario timestamps.
+// convention of starting its clock at the Unix epoch, so task deadlines
+// line up with scenario timestamps.
 var Epoch = time.Unix(0, 0)
 
 // Action is one scheduled event's body. The returned note is recorded on
@@ -85,9 +84,6 @@ type Engine struct {
 	// at the new instant runs — the place to tick the orchestrator's
 	// virtual clock by the same dt.
 	OnAdvance func(ctx context.Context, dt time.Duration) error
-	// AfterEvent fires after every event body, with the current virtual
-	// time — the place to poll a replan governor.
-	AfterEvent func(ctx context.Context, now time.Time) error
 }
 
 // New creates an engine with a deterministic RNG.
@@ -135,11 +131,6 @@ func (e *Engine) Run(ctx context.Context) error {
 		e.timeline = append(e.timeline, Record{At: ev.at, Name: ev.name, Note: note})
 		if err != nil {
 			return fmt.Errorf("scenario: %q at %v: %w", ev.name, ev.at, err)
-		}
-		if e.AfterEvent != nil {
-			if err := e.AfterEvent(ctx, e.Now()); err != nil {
-				return fmt.Errorf("scenario: after %q at %v: %w", ev.name, ev.at, err)
-			}
 		}
 	}
 	return nil

@@ -27,13 +27,8 @@ func TestRunOrdersEventsAndDrivesHooks(t *testing.T) {
 	e.At(200*time.Millisecond, "c", rec("c"))
 
 	var advanced time.Duration
-	var afters int
 	e.OnAdvance = func(ctx context.Context, dt time.Duration) error {
 		advanced += dt
-		return nil
-	}
-	e.AfterEvent = func(ctx context.Context, now time.Time) error {
-		afters++
 		return nil
 	}
 	if err := e.Run(context.Background()); err != nil {
@@ -44,9 +39,6 @@ func TestRunOrdersEventsAndDrivesHooks(t *testing.T) {
 	}
 	if advanced != 300*time.Millisecond {
 		t.Fatalf("OnAdvance total = %v, want 300ms", advanced)
-	}
-	if afters != 4 {
-		t.Fatalf("AfterEvent fired %d times, want 4", afters)
 	}
 	if e.Now() != Epoch.Add(300*time.Millisecond) {
 		t.Fatalf("final Now = %v", e.Now())

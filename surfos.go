@@ -180,13 +180,6 @@ type (
 	ShardStat = orchestrator.ShardStat
 	// MoveResult reports what a MoveTask did (handoff bookkeeping).
 	MoveResult = orchestrator.MoveResult
-	// Governor rate-limits incremental re-plans per interference domain
-	// (token bucket + max-staleness forcing).
-	Governor = orchestrator.Governor
-	// GovernorOptions tunes a replan governor.
-	GovernorOptions = orchestrator.GovernorOptions
-	// GovernorStats is a governor's observable state.
-	GovernorStats = orchestrator.GovernorStats
 	// Engine is the shared channel-evaluation engine: a memoized ray-trace
 	// cache plus a worker pool for grid-shaped evaluation.
 	Engine = engine.Engine
@@ -350,13 +343,6 @@ func NewHardware() *Hardware { return hwmgr.New() }
 // hardware inventory.
 func NewOrchestrator(sc *Scene, hw *Hardware, opts Options) (*Orchestrator, error) {
 	return orchestrator.New(sc, hw, opts)
-}
-
-// NewGovernor builds a replan governor over an orchestrator. Callers mark
-// domains dirty as churn arrives and Poll on their own clock; the governor
-// coalesces bursts and bounds plan staleness.
-func NewGovernor(o *Orchestrator, opts GovernorOptions) *Governor {
-	return orchestrator.NewGovernor(o, opts)
 }
 
 // NewTranslator builds the demand translator with the default profile
