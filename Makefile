@@ -1,25 +1,28 @@
 GO ?= go
 
-.PHONY: all build test race vet staticcheck bench bench-smoke fmt ci golden test-faults test-crash test-failover fuzz-smoke test-parallel test-mobility
+.PHONY: all build test race vet staticcheck bench bench-smoke fmt fmt-check ci golden test-faults test-crash test-failover fuzz-smoke test-parallel test-mobility
 
 all: build vet test
 
-# ci is the full merge gate: compile, static checks, the race-detector
-# test run, the experiment-output golden check (byte-identical paper
+# ci is the full merge gate: compile, static checks, gofmt-clean
+# sources, the race-detector test run, the experiment-output golden check (byte-identical paper
 # figures modulo timing strings), a one-iteration benchmark smoke pass
 # so benchmark code cannot rot, the seeded fault-injection suite, the
 # crash-recovery boundary replay, the replication/failover suite, a
-# short fuzz pass over the wire codec and every ctrlproto decoder, and
+# short fuzz pass over the wire codec, every ctrlproto decoder and the
+# WAL and snapshot readers, and
 # the fan-out determinism suite (engine, sensing, plan cells) repeated at
 # GOMAXPROCS=1,2,4.
-ci: build vet staticcheck race golden bench-smoke test-faults test-crash test-failover test-mobility fuzz-smoke test-parallel
+ci: build vet staticcheck fmt-check race golden bench-smoke test-faults test-crash test-failover test-mobility fuzz-smoke test-parallel
 
-# fuzz-smoke runs the wire-frame fuzzer and the ctrlproto payload-decoder
-# fuzzer briefly on top of their seed corpora: enough to catch codec
-# regressions without a fuzz farm.
+# fuzz-smoke runs the wire-frame fuzzer, the ctrlproto payload-decoder
+# fuzzer and the WAL and snapshot readers' fuzzers briefly on top of their
+# seed corpora: enough to catch decoder regressions without a fuzz farm.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzFrame -fuzztime=10s ./internal/wire/
 	$(GO) test -run=NONE -fuzz=FuzzDecode -fuzztime=10s ./internal/ctrlproto/
+	$(GO) test -run=NONE -fuzz=FuzzWAL -fuzztime=10s ./internal/store/
+	$(GO) test -run=NONE -fuzz=FuzzDecodeSnapshot -fuzztime=10s ./internal/store/
 
 # staticcheck runs honnef.co/go/tools when the binary is available (the
 # GitHub workflow installs the pinned version; offline dev containers
@@ -51,21 +54,22 @@ test-faults:
 # test-crash replays journal recovery with the WAL truncated at every
 # record boundary — clean and torn — under the race detector. Any prefix
 # of the journal must recover to exactly the state its surviving records
-# describe.
+# describe, and a moved or re-queued task must recover as it last stood.
 test-crash:
-	$(GO) test -race -count=1 -run 'Crash|TruncatedTail|Corrupt|SequenceGap|Snapshot' ./internal/store
+	$(GO) test -race -count=1 -run 'Crash|TruncatedTail|Corrupt|SequenceGap|Snapshot|Durable' ./internal/store ./internal/orchestrator
 
 # test-failover exercises the replicated control plane under the race
 # detector at the fault seeds: the follower crash-replay boundary matrix,
 # epoch fencing, lease promotion, the surfctl failover rotation, and the
 # end-to-end failover chaos experiment (promotion within the lease, zero
-# live tasks lost, plans byte-identical to a primary reboot).
+# live tasks lost, plans byte-identical to a primary reboot), and the
+# moved and re-queued task recovery tests.
 test-failover:
 	@for seed in $(FAULT_SEEDS); do \
 		echo "== failover suite, seed $$seed =="; \
 		SURFOS_FAULT_SEED=$$seed $(GO) test -race -count=1 \
-			-run 'Follower|Repl|StaleEpoch|Failover|FailsOver|Lease|Promot|Rotates|Standby' \
-			./internal/store ./internal/ctrlproto ./internal/experiments ./cmd/... || exit 1; \
+			-run 'Follower|Repl|StaleEpoch|Failover|FailsOver|Lease|Promot|Rotates|Standby|Durable' \
+			./internal/store ./internal/ctrlproto ./internal/orchestrator ./internal/experiments ./cmd/... || exit 1; \
 	done
 
 # test-mobility replays the churn-hardening suite under the race detector
@@ -123,3 +127,7 @@ test-parallel:
 
 fmt:
 	gofmt -l -w .
+
+# fmt-check fails when any Go file is not gofmt-clean.
+fmt-check:
+	test -z "$$(gofmt -l .)"

@@ -129,12 +129,13 @@ type daemon struct {
 	healStop func()
 	ctrl     *ctrlproto.CtrlAgent
 
-	// Durability (nil without -state-dir): the journal consumes the task
-	// event bus and persists specs and transitions to the state dir.
-	// stateMu guards these fields: promotion installs a journal at
-	// runtime, racing health/metrics readers.
-	stateMu     sync.Mutex
+	// Durability (nil without -state-dir): the journal owns the state dir
+	// from boot — a standby's is its replica — and, once subscribed, turns
+	// the task event bus into specs and transitions. stateMu guards the
+	// subscription: a standby attaches it at promotion, racing
+	// health/metrics readers.
 	journal     *store.Journal
+	stateMu     sync.Mutex
 	journalCh   <-chan telemetry.TaskEvent
 	journalStop func()
 	journalDone chan struct{}
@@ -309,7 +310,7 @@ func newDaemon(ctx context.Context, surfaceList string, opts daemonOptions) (*da
 // the orchestrator's shard and tenant state.
 func (d *daemon) controlHealth() ctrlproto.ControlHealthInfo {
 	info := ctrlproto.ControlHealthInfo{BusDropped: d.events.Dropped()}
-	if j := d.getJournal(); j != nil {
+	if j := d.journal; j != nil {
 		info.JournalSeq = j.Seq()
 		// Lag is the journal subscription backlog: events published but
 		// not yet persisted.
@@ -351,10 +352,8 @@ func (d *daemon) registerMetrics(reg *metrics.Registry) {
 	d.orch.RegisterMetrics(reg)
 	d.hw.RegisterMetrics(reg)
 	d.events.RegisterMetrics(reg)
-	if d.getJournal() != nil || d.follower != nil {
-		// A follower has no journal yet, but will the moment it promotes;
-		// register through the accessor so the exporters follow the swap.
-		store.RegisterJournalMetrics(reg, d.getJournal)
+	if d.journal != nil {
+		d.journal.RegisterMetrics(reg)
 		reg.GaugeFunc("surfos_journal_lag",
 			"Journal subscription backlog: events published but not yet persisted.",
 			func() float64 { return float64(d.journalBacklog()) })
@@ -377,26 +376,29 @@ func healthStateFor(transition string) hwmgr.HealthState {
 	return hwmgr.Healthy
 }
 
-// openState recovers the journal from dir and attaches a live journal to
-// the event bus: device health is rehydrated first (so the recovery
-// re-plan sees the world as it was), then every submitted-but-not-ended
-// task is re-admitted under its original ID, re-planned from scratch
-// against the current surfaces, and the recovered state is immediately
-// snapshotted so the WAL restarts compact.
+// openState recovers the journal from dir and attaches it to the event
+// bus: device health is rehydrated first (so the recovery re-plan sees
+// the world as it was), then every submitted-but-not-ended task is
+// re-admitted under its original ID, re-planned from scratch against the
+// current surfaces, and the recovered state is immediately snapshotted so
+// the WAL restarts compact.
 func (d *daemon) openState(dir string) error {
-	st, recovered, err := store.Open(dir)
+	j, err := store.OpenJournal(dir)
 	if err != nil {
 		return fmt.Errorf("state %s: %w", dir, err)
 	}
-	return d.attachState(st, recovered, dir)
+	d.journal = j
+	return d.attachState(dir)
 }
 
-// attachState turns a recovered (or promoted) store into the daemon's
-// live journal: re-admit via the shared orchestrator hook, attach the
-// journal to the event bus, reconcile, snapshot. Boot recovery and
-// standby promotion both land here, which is what makes failover
-// reproduce exactly the plans a rebooted primary would compute.
-func (d *daemon) attachState(st *store.Store, recovered *store.State, dir string) error {
+// attachState makes the daemon's journal live: re-admit its live tasks
+// via the shared orchestrator hook, subscribe it to the event bus,
+// reconcile, snapshot. Boot recovery and standby promotion both land
+// here, which is what makes failover reproduce exactly the plans a
+// rebooted primary would compute.
+func (d *daemon) attachState(dir string) error {
+	journal := d.journal
+	recovered := journal.State()
 	for _, dr := range recovered.DeviceHealth() {
 		d.hw.RehydrateHealth(dr.DeviceID, healthStateFor(dr.State), dr.Err)
 		if dr.State != telemetry.DeviceRecovered {
@@ -409,18 +411,18 @@ func (d *daemon) attachState(st *store.Store, recovered *store.State, dir string
 	}
 	res := d.orch.Readmit(specs, recovered.MaxTaskID, log.Printf)
 	// A spec that no longer validates (renamed region, changed scene)
-	// must not block the rest of the recovery; drop it from the journal
-	// state so it is not retried forever.
+	// must not block the rest of the recovery; journal it failed so it is
+	// not retried forever. A write error here is sticky and fails the
+	// snapshot below.
 	for _, id := range res.Dropped {
-		delete(recovered.Tasks, id)
+		_ = journal.Consume(telemetry.TaskEvent{Time: time.Now(), TaskID: id, State: telemetry.TaskFailed})
 	}
-	// The journal's state mirror is seeded with the recovered state (the
-	// restoration events above predate the subscription), so the upcoming
-	// snapshot is exactly "live tasks at recovery".
-	journal := store.NewJournal(st, recovered)
-	// Announce the first journaling failure immediately — durability loss
-	// must not wait for the shutdown snapshot to surface — and mirror it
-	// as a journal_failed bus event so it reaches /metrics and watchers.
+	// The restoration events above predate the subscription: the journal
+	// already holds those tasks, so the upcoming snapshot is exactly
+	// "live tasks at recovery". Announce the first journaling failure
+	// immediately — durability loss must not wait for the shutdown
+	// snapshot to surface — and mirror it as a journal_failed bus event
+	// so it reaches /metrics and watchers.
 	journal.SetLogf(log.Printf)
 	journal.SetEventBus(d.events)
 	// The journal must keep the synchronous drop-newest policy: a published
@@ -431,7 +433,6 @@ func (d *daemon) attachState(st *store.Store, recovered *store.State, dir string
 	})
 	done := make(chan struct{})
 	d.stateMu.Lock()
-	d.journal = journal
 	d.journalCh = ch
 	d.journalStop = unsub
 	d.journalDone = done
@@ -454,13 +455,6 @@ func (d *daemon) attachState(st *store.Store, recovered *store.State, dir string
 	return nil
 }
 
-// getJournal returns the live journal (nil before state attaches).
-func (d *daemon) getJournal() *store.Journal {
-	d.stateMu.Lock()
-	defer d.stateMu.Unlock()
-	return d.journal
-}
-
 // journalBacklog reports the journal subscription's buffered event count.
 func (d *daemon) journalBacklog() int {
 	d.stateMu.Lock()
@@ -473,31 +467,37 @@ func (d *daemon) journalBacklog() int {
 
 // closeState performs the journal's clean shutdown: stop consuming, drain
 // buffered events, compact into a final snapshot, and fsync everything.
+// A standby never subscribed its journal and closes it without a
+// snapshot: the replica stays exactly what the primary shipped. A second
+// call is a no-op.
 func (d *daemon) closeState() {
 	d.stateMu.Lock()
-	journal, stop, done := d.journal, d.journalStop, d.journalDone
-	d.journal, d.journalStop, d.journalDone = nil, nil, nil
+	stop, done := d.journalStop, d.journalDone
+	d.journalStop, d.journalDone = nil, nil
 	d.stateMu.Unlock()
-	if journal == nil {
-		if d.follower != nil {
-			if err := d.follower.Close(); err != nil {
-				log.Printf("state: follower close: %v", err)
-			}
+	if stop != nil {
+		// Unsubscribing closes the channel; Run drains what is buffered and
+		// exits, so every event published before this point is journaled.
+		stop()
+		<-done
+		if err := d.journal.Snapshot(); err != nil {
+			log.Printf("state: final snapshot: %v", err)
 		}
-		return
+		if n := d.events.Dropped(); n > 0 {
+			log.Printf("state: warning: %d task event(s) dropped on full subscriber buffers", n)
+		}
 	}
-	// Unsubscribing closes the channel; Run drains what is buffered and
-	// exits, so every event published before this point is journaled.
-	stop()
-	<-done
-	if err := journal.Snapshot(); err != nil {
-		log.Printf("state: final snapshot: %v", err)
+	// A follower owns its journal: closing the follower closes it and
+	// keeps a lease that lapses during shutdown from promoting.
+	var err error
+	switch {
+	case d.follower != nil:
+		err = d.follower.Close()
+	case d.journal != nil:
+		err = d.journal.Close()
 	}
-	if err := journal.Close(); err != nil {
+	if err != nil {
 		log.Printf("state: close: %v", err)
-	}
-	if n := d.events.Dropped(); n > 0 {
-		log.Printf("state: warning: %d task event(s) dropped on full subscriber buffers", n)
 	}
 }
 

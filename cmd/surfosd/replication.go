@@ -68,11 +68,10 @@ func heartbeatEvery(ttl time.Duration) time.Duration {
 // starts one shipping loop per follower address, and arms the primary's
 // own lease watch. Call after openState.
 func (d *daemon) startReplication(addrs []string, ttl time.Duration) error {
-	j := d.getJournal()
-	if j == nil {
+	if d.journal == nil {
 		return errors.New("-replicate-to requires -state-dir")
 	}
-	epoch, err := j.BecomeLeader(d.holder, ttl)
+	epoch, err := d.journal.BecomeLeader(d.holder, ttl)
 	if err != nil {
 		return err
 	}
@@ -122,7 +121,7 @@ func (d *daemon) shipSession(addr string, ttl time.Duration) error {
 		return err
 	}
 	defer sender.Close()
-	j := d.getJournal()
+	j := d.journal
 	// The observer runs under the journal lock: hand off to a buffered
 	// channel and never block. An overflow shows up as a sequence gap,
 	// which tears the session down and resyncs via a fresh snapshot.
@@ -288,16 +287,18 @@ func (d *daemon) minAcked() uint64 {
 
 // --- follower side: warm replay and promotion ---
 
-// openFollower opens the standby's warm store, arms the lease, and routes
-// incoming MsgRepl* frames to it. The daemon rejects mutations until
-// promotion; reads answer from its own (empty) task table, since the
-// replica only feeds the orchestrator when a promotion re-admits it.
+// openFollower opens the standby's replica journal — the daemon's journal
+// from boot on — arms the lease, and routes incoming MsgRepl* frames to
+// it. The daemon rejects mutations until promotion; reads answer from its
+// own (empty) task table, since the replica only feeds the orchestrator
+// when a promotion re-admits it.
 func (d *daemon) openFollower(dir string, ttl time.Duration) error {
 	fol, err := store.OpenFollower(dir)
 	if err != nil {
 		return err
 	}
 	d.follower = fol
+	d.journal = fol.Journal()
 	d.followDir = dir
 	d.standby.Store(true)
 	d.ctrl.Repl = &ctrlproto.ReplReceiver{F: fol, Logf: log.Printf}
@@ -341,34 +342,32 @@ func (d *daemon) followLoop(ttl time.Duration) {
 
 // promote is the takeover: durably bump the epoch (fencing the old
 // primary), then run the exact boot-recovery sequence — rehydrate health,
-// re-admit live tasks, reconcile, snapshot — against the replica store,
+// re-admit live tasks, reconcile, snapshot — against the replica journal,
 // and start accepting mutations. Recovery is deterministic, so the plans
 // this daemon computes are byte-identical to what the dead primary's own
 // reboot would have produced.
 //
-// Handoff is deliberately last: once the epoch record is durable every
-// replication message is fenced, so the store is quiescent while
-// attachState rebuilds on top of it, and a failure there cannot strand a
-// released-but-unattached store. attachState's only failure mode is the
-// initial snapshot not persisting; that leaves the daemon exactly as
-// durable as a primary whose disk died mid-flight — journal_failed is
-// raised and it serves anyway — so it does not block the takeover.
+// Once the epoch record is durable every replication message is fenced,
+// so the journal takes no more shipped records while attachState
+// subscribes it. attachState's only failure mode is the initial snapshot
+// not persisting; that leaves the daemon exactly as durable as a primary
+// whose disk died mid-flight — journal_failed is raised and it serves
+// anyway — so it does not block the takeover.
 func (d *daemon) promote() error {
 	holder := d.holder
 	if holder == "" {
 		holder = "standby"
 	}
 	deadHolder := d.follower.Holder() // before Promote overwrites it
-	state, epoch, err := d.follower.Promote(holder)
+	epoch, err := d.follower.Promote(holder)
 	if err != nil {
 		return err
 	}
 	log.Printf("replication: lease expired (last holder %q); promoting to epoch %d (applied seq %d, lag %d)",
 		deadHolder, epoch, d.follower.Applied(), d.follower.Lag())
-	if err := d.attachState(d.follower.Store(), state, d.followDir); err != nil {
+	if err := d.attachState(d.followDir); err != nil {
 		log.Printf("replication: promote: attach state: %v (serving anyway; durability degraded)", err)
 	}
-	d.follower.Handoff()
 	d.standby.Store(false)
 	d.promotions.Add(1)
 	d.events.Publish(telemetry.TaskEvent{
@@ -387,23 +386,18 @@ func (d *daemon) registerReplMetrics(reg *metrics.Registry) {
 	}
 	reg.GaugeFunc("surfos_repl_epoch", "Current leadership term seen by this daemon.",
 		func() float64 {
-			if j := d.getJournal(); j != nil {
-				return float64(j.Epoch())
-			}
 			if d.follower != nil {
 				return float64(d.follower.Epoch())
 			}
-			return 0
+			return float64(d.journal.Epoch())
 		})
 	reg.GaugeFunc("surfos_repl_lag_records", "Replication lag in records: behind the primary (follower) or the slowest follower's deficit (primary).",
 		func() float64 {
 			if d.follower != nil && !d.follower.Promoted() {
 				return float64(d.follower.Lag())
 			}
-			if j := d.getJournal(); j != nil {
-				if acked := d.minAcked(); acked > 0 && j.Seq() > acked {
-					return float64(j.Seq() - acked)
-				}
+			if acked := d.minAcked(); acked > 0 && d.journal.Seq() > acked {
+				return float64(d.journal.Seq() - acked)
 			}
 			return 0
 		})

@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"surfos"
 	"surfos/internal/ctrlproto"
+	"surfos/internal/orchestrator"
 )
 
 // serveNorthbound puts d behind a real -listen socket — accept loop and
@@ -44,20 +46,19 @@ func replTestDaemon(t *testing.T, ctx context.Context) *daemon {
 	return d
 }
 
-// TestDaemonFailoverPromotesStandby is the failover invariant at daemon
-// level, over a real TCP replication session: a primary ships its journal
-// to a warm standby; when the primary dies mid-lease the standby promotes
-// itself, re-admits every live task, and starts accepting mutations.
-func TestDaemonFailoverPromotesStandby(t *testing.T) {
-	ttl := time.Second
+// failoverPair boots a journaled primary shipping to a warm standby over
+// a real TCP replication session, with a lease of ttl. kill hard-stops
+// the primary: its shippers and heartbeats stop mid-lease.
+func failoverPair(t *testing.T, ttl time.Duration) (d1, d2 *daemon, kill func()) {
+	t.Helper()
 	// Dirs before daemons: cleanups run LIFO, so each daemon's close (and
 	// its final snapshot) happens before its state directory is removed.
 	pdir, sdir := t.TempDir(), t.TempDir()
 
 	// Primary: journaled state dir.
 	ctx1, kill := context.WithCancel(context.Background())
-	defer kill()
-	d1 := replTestDaemon(t, ctx1)
+	t.Cleanup(kill)
+	d1 = replTestDaemon(t, ctx1)
 	if err := d1.openState(pdir); err != nil {
 		t.Fatal(err)
 	}
@@ -67,13 +68,33 @@ func TestDaemonFailoverPromotesStandby(t *testing.T) {
 	// Standby: warm replica receiving on its northbound port. Start
 	// shipping right away so the armed boot lease sees heartbeats before
 	// it lapses.
-	d2 := replTestDaemon(t, context.Background())
+	d2 = replTestDaemon(t, context.Background())
 	if err := d2.openFollower(sdir, ttl); err != nil {
 		t.Fatal(err)
 	}
 	if err := d1.startReplication([]string{serveNorthbound(t, d2)}, ttl); err != nil {
 		t.Fatal(err)
 	}
+	return d1, d2, kill
+}
+
+// waitShipped waits until the primary's journal has drained the bus and
+// the standby has acked the primary's last record.
+func waitShipped(t *testing.T, d1, d2 *daemon) {
+	t.Helper()
+	j := d1.journal
+	waitFor(t, func() bool {
+		seq := j.Seq()
+		return d1.journalBacklog() == 0 && seq > 0 && d2.follower.Applied() == seq
+	})
+}
+
+// TestDaemonFailoverPromotesStandby is the failover invariant at daemon
+// level, over a real TCP replication session: a primary ships its journal
+// to a warm standby; when the primary dies mid-lease the standby promotes
+// itself, re-admits every live task, and starts accepting mutations.
+func TestDaemonFailoverPromotesStandby(t *testing.T) {
+	d1, d2, kill := failoverPair(t, time.Second)
 
 	c1 := connect(t, d1)
 	if reply := demand(t, c1, "please stream a movie on the tv tonight"); !strings.Contains(reply, "running") {
@@ -85,11 +106,7 @@ func TestDaemonFailoverPromotesStandby(t *testing.T) {
 
 	// The journal drains the bus asynchronously; wait for it to settle and
 	// for the follower's ack to reach the primary's sequence.
-	j := d1.getJournal()
-	waitFor(t, func() bool {
-		seq := j.Seq()
-		return d1.journalBacklog() == 0 && seq > 0 && d2.follower.Applied() == seq
-	})
+	waitShipped(t, d1, d2)
 	if !d2.standby.Load() {
 		t.Fatal("follower serving mutations before promotion")
 	}
@@ -115,6 +132,47 @@ func TestDaemonFailoverPromotesStandby(t *testing.T) {
 	// the ID allocator continues past the primary's high-water mark.
 	if reply := demand(t, c2, "please stream a movie on the tv tonight"); !strings.Contains(reply, "task 3") {
 		t.Errorf("post-promotion demand: %q", reply)
+	}
+}
+
+// TestDurableMoveSurvivesFailover: tasks the primary moved before it died
+// are re-admitted by the promoted standby at their moved positions.
+func TestDurableMoveSurvivesFailover(t *testing.T) {
+	d1, d2, kill := failoverPair(t, time.Second)
+	c1 := connect(t, d1)
+	ctx := context.Background()
+	if reply := demand(t, c1, "please stream a movie on the tv tonight"); !strings.Contains(reply, "running") {
+		t.Fatalf("demand: %q", reply)
+	}
+	if reply := demand(t, c1, "charge my phone please"); !strings.Contains(reply, "task 2") {
+		t.Fatalf("second demand: %q", reply)
+	}
+	tv, phone := surfos.V(1.8, 6.2, 1.5), surfos.V(3.0, 5.0, 1.0)
+	if err := c1.MoveTask(ctx, 1, tv.X, tv.Y, tv.Z); err != nil {
+		t.Fatalf("move 1: %v", err)
+	}
+	if err := c1.MoveTask(ctx, 2, phone.X, phone.Y, phone.Z); err != nil {
+		t.Fatalf("move 2: %v", err)
+	}
+	waitShipped(t, d1, d2)
+
+	kill()
+	waitFor(t, func() bool { return !d2.standby.Load() })
+	for id, want := range map[int]surfos.Vec3{1: tv, 2: phone} {
+		task, err := d2.orch.Task(id)
+		if err != nil {
+			t.Fatalf("task %d lost in failover: %v", id, err)
+		}
+		var got surfos.Vec3
+		switch g := task.Goal.(type) {
+		case orchestrator.LinkGoal:
+			got = g.Pos
+		case orchestrator.PowerGoal:
+			got = g.Pos
+		}
+		if got != want {
+			t.Errorf("promoted standby has task %d at %v, want the moved position %v", id, got, want)
+		}
 	}
 }
 
@@ -220,7 +278,7 @@ func TestPrimaryLeaseLossStepsDownAndResumes(t *testing.T) {
 	if reply := demand(t, c1, "please stream a movie on the tv tonight"); !strings.Contains(reply, "running") {
 		t.Fatalf("demand: %q", reply)
 	}
-	j := d1.getJournal()
+	j := d1.journal
 	waitFor(t, func() bool {
 		seq := j.Seq()
 		return d1.journalBacklog() == 0 && seq > 0 && d2.follower.Applied() == seq

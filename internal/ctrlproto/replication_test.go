@@ -159,7 +159,7 @@ func TestReplSessionShipsAndFencesOverWire(t *testing.T) {
 	// stale sender's next messages are fenced with the typed sentinel
 	// across the wire.
 	now = now.Add(4 * time.Second)
-	if _, _, err := fol.Promote("standby"); err != nil {
+	if _, err := fol.Promote("standby"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sender.Append(epoch, recs); !errors.Is(err, store.ErrStaleEpoch) {
@@ -169,12 +169,11 @@ func TestReplSessionShipsAndFencesOverWire(t *testing.T) {
 		t.Errorf("stale heartbeat err = %v, want store.ErrStaleEpoch", err)
 	}
 
-	// After handoff the fence must still hold over the wire for the tied
-	// term (a rebooted primary minting the same epoch), and a genuinely
-	// newer term must come back as the released sentinel — not a generic
-	// internal error a sender would treat as retryable.
+	// After promotion the fence must still hold over the wire for the
+	// tied term (a rebooted primary minting the same epoch), and a
+	// genuinely newer term must come back as the released sentinel — not
+	// a generic internal error a sender would treat as retryable.
 	promotedEpoch := fol.Epoch()
-	fol.Handoff()
 	if _, err := sender.Append(promotedEpoch, recs); !errors.Is(err, store.ErrStaleEpoch) {
 		t.Errorf("post-handoff tied-epoch append err = %v, want store.ErrStaleEpoch", err)
 	}

@@ -103,20 +103,20 @@ func RunFailover(ctx context.Context, p Profile) (*FailoverResult, error) {
 		return nil, err
 	}
 	defer pl.unsub()
-	st, state, err := store.Open(pdir)
+	journal, err := store.OpenJournal(pdir)
 	if err != nil {
 		return nil, err
 	}
-	journal := store.NewJournal(st, state)
 	if _, err := journal.BecomeLeader("primary", failoverTTL); err != nil {
 		return nil, err
 	}
 
-	// --- standby: warm store on a virtual clock, lease armed ---
+	// --- standby: warm replica journal on a virtual clock, lease armed ---
 	fol, err := store.OpenFollower(sdir)
 	if err != nil {
 		return nil, err
 	}
+	defer fol.Close()
 	vc := &vclock{t: time.Unix(1_700_000_000, 0)}
 	fol.SetClock(vc.now)
 	fol.StartLease(failoverTTL)
@@ -178,16 +178,16 @@ func RunFailover(ctx context.Context, p Profile) (*FailoverResult, error) {
 	if err := ship(); err != nil {
 		return nil, err
 	}
-	if _, err := sender.Heartbeat(epoch, "primary", failoverTTL, st.Seq()); err != nil {
+	if _, err := sender.Heartbeat(epoch, "primary", failoverTTL, journal.Seq()); err != nil {
 		return nil, err
 	}
 	out.Before = pl.rows()
-	out.WALSeq = st.Seq()
+	out.WALSeq = journal.Seq()
 	out.FollowerApplied = fol.Applied()
 
 	// --- hard kill: the primary stops mid-flight; no snapshot, no
 	// goodbye. The standby only notices through lease silence. ---
-	if err := st.Close(); err != nil {
+	if err := journal.Close(); err != nil {
 		return nil, err
 	}
 
@@ -201,7 +201,7 @@ func RunFailover(ctx context.Context, p Profile) (*FailoverResult, error) {
 	}
 	out.PromoteMillis = float64(time.Duration(ticks) * failoverTick / time.Millisecond)
 
-	_, newEpoch, err := fol.Promote("standby")
+	newEpoch, err := fol.Promote("standby")
 	if err != nil {
 		return nil, err
 	}
@@ -213,16 +213,15 @@ func RunFailover(ctx context.Context, p Profile) (*FailoverResult, error) {
 	_, staleErr := sender.Append(epoch, []store.Record{{Seq: out.WALSeq + 1, Kind: store.KindEpoch, Data: []byte(`{}`)}})
 	out.StaleRejected = errors.Is(staleErr, store.ErrStaleEpoch)
 
-	// --- promotion recovery: the exact boot path against the replica ---
-	st2, state2 := fol.Handoff()
-	defer st2.Close()
+	// --- promotion recovery: the exact boot path against the replica
+	// journal, which journals on as the new primary's ---
 	pl2, err := newRestartPlane(p)
 	if err != nil {
 		return nil, err
 	}
 	defer pl2.unsub()
-	journal2 := store.NewJournal(st2, state2)
-	if out.RecoveredLive, err = pl2.recoverFrom(ctx, state2); err != nil {
+	journal2 := fol.Journal()
+	if out.RecoveredLive, err = pl2.recoverFrom(ctx, journal2.State()); err != nil {
 		return nil, err
 	}
 	if err := pl2.drainInto(journal2); err != nil {

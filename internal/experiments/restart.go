@@ -198,11 +198,10 @@ func RunRestart(ctx context.Context, p Profile) (*RestartResult, error) {
 		return nil, err
 	}
 	defer pl.unsub()
-	st, state, err := store.Open(dir)
+	journal, err := store.OpenJournal(dir)
 	if err != nil {
 		return nil, err
 	}
-	journal := store.NewJournal(st, state)
 
 	out := &RestartResult{Profile: p}
 	if out.IdleID, out.EndedID, err = pl.runMix(ctx); err != nil {
@@ -212,12 +211,12 @@ func RunRestart(ctx context.Context, p Profile) (*RestartResult, error) {
 		return nil, err
 	}
 	out.Before = pl.rows()
-	out.WALSeq = st.Seq()
+	out.WALSeq = journal.Seq()
 
 	// Hard kill: no Journal.Snapshot, no graceful close — and a torn
 	// half-record appended to the WAL, exactly what a crash mid-write
 	// leaves behind. Recovery must discard it silently.
-	if err := st.Close(); err != nil {
+	if err := journal.Close(); err != nil {
 		return nil, err
 	}
 	f, err := os.OpenFile(filepath.Join(dir, "wal.jsonl"), os.O_APPEND|os.O_WRONLY, 0o644)
@@ -238,13 +237,12 @@ func RunRestart(ctx context.Context, p Profile) (*RestartResult, error) {
 		return nil, err
 	}
 	defer pl2.unsub()
-	st2, state2, err := store.Open(dir)
+	journal2, err := store.OpenJournal(dir)
 	if err != nil {
 		return nil, err
 	}
-	defer st2.Close()
-	journal2 := store.NewJournal(st2, state2)
-	if out.RecoveredLive, err = pl2.recoverFrom(ctx, state2); err != nil {
+	defer journal2.Close()
+	if out.RecoveredLive, err = pl2.recoverFrom(ctx, journal2.State()); err != nil {
 		return nil, err
 	}
 	if err := pl2.drainInto(journal2); err != nil {

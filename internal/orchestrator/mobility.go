@@ -53,9 +53,10 @@ type MoveResult struct {
 // position is best served by a different interference domain, the task
 // is handed off: its plan entries in the old shard are released (and the
 // shrunken codebooks re-applied), the task re-homes to the new domain in
-// the pending state, and a "handoff" lifecycle event fires — the task is
-// never dropped. Within-domain moves just update the goal; either way
-// the serving plan is stale until the next re-plan, which the caller
+// the pending state, and a "handoff" lifecycle event carrying the new spec
+// fires — the task is never dropped. Within-domain moves just update the
+// goal, and the task's next scheduled event carries the new spec; either
+// way the serving plan is stale until the next re-plan, which the caller
 // requests (ReconcileTask).
 func (o *Orchestrator) MoveTask(id int, pos geom.Vec3) (MoveResult, error) {
 	res, shrunk, err := o.moveTask(id, pos)
@@ -104,7 +105,9 @@ func (o *Orchestrator) moveTask(id int, pos geom.Vec3) (MoveResult, []*Plan, err
 		if t.State == TaskRunning {
 			t.State = TaskPending
 		}
-		o.emitLocked(t, telemetry.TaskHandoff)
+		o.emitSpecLocked(t, telemetry.TaskHandoff)
+	} else {
+		t.respec = true
 	}
 	return res, shrunk, nil
 }

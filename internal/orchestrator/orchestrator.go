@@ -211,7 +211,7 @@ func (o *Orchestrator) submit(svc Service, tenant string, goal any, priority int
 	t.Domain = o.routeLocked(t, o.apFreqs())
 	o.nextID++
 	o.tasks[t.ID] = t
-	o.emitLocked(t, telemetry.TaskSubmitted)
+	o.emitSpecLocked(t, telemetry.TaskSubmitted)
 	return t.clone(), nil
 }
 

@@ -76,7 +76,9 @@ func (o *Orchestrator) requeueStarved(domain int) {
 		if t.State == TaskFailed && errors.Is(t.Err, ErrNoActiveSurfaces) {
 			t.State = TaskPending
 			t.Err = nil
-			o.emitLocked(t, telemetry.TaskResumed)
+			// The spec revives the task in a journal that recorded it
+			// failed, or compacted it away since.
+			o.emitSpecLocked(t, telemetry.TaskResumed)
 		}
 	}
 	o.mu.Unlock()

@@ -170,7 +170,7 @@ func (o *Orchestrator) RestoreTask(specJSON []byte, lastState string) (*Task, er
 		o.nextID = spec.ID + 1
 	}
 	o.tasks[t.ID] = t
-	o.emitLocked(t, telemetry.TaskSubmitted)
+	o.emitSpecLocked(t, telemetry.TaskSubmitted)
 	if lastState == telemetry.TaskIdle {
 		t.State = TaskIdle
 		o.emitLocked(t, telemetry.TaskIdle)

@@ -131,6 +131,9 @@ type Task struct {
 
 	// svc is the task's resolved service module (immutable after submit).
 	svc Service
+	// respec marks a goal re-targeted in place (a within-domain move)
+	// whose spec no event has carried yet.
+	respec bool
 }
 
 // clone returns a defensive snapshot of the task: accessors hand these

@@ -6,9 +6,9 @@ import (
 	"time"
 )
 
-// ErrReleased marks a replication message arriving after the follower
-// promoted and handed its store to a journal: the follower is no longer a
-// valid writer and must not race the new single writer.
+// ErrReleased marks a replication message from a newer term arriving
+// after the follower promoted (its journal now leads) or closed: the
+// follower cannot apply it, but the sender is not stale either.
 var ErrReleased = errors.New("store: follower released")
 
 // ErrLeaseLive aborts a promotion because the lease was renewed between
@@ -17,24 +17,24 @@ var ErrReleased = errors.New("store: follower released")
 // until the next fencing round trip. The caller keeps following.
 var ErrLeaseLive = errors.New("store: lease renewed, promotion aborted")
 
-// Follower is the standby side of the replicated pair: it continuously
-// replays the primary's snapshot and WAL tail into its own warm store,
-// tracks the primary's lease, and promotes itself — bumping the epoch and
-// fencing the old primary — when the lease expires.
+// Follower is the standby side of the replicated pair: it replays the
+// primary's snapshot and WAL tail into a Journal of its own, tracks the
+// primary's lease, and promotes — leading that same journal at a new
+// epoch, which fences the old primary — when the lease expires. It holds
+// only epoch fencing, the lease, the holder and lag; the journal holds
+// the state.
 //
 // All methods are safe for concurrent use. Time is read through an
 // injectable clock so lease expiry is testable and the failover
 // experiment stays deterministic.
 type Follower struct {
-	mu    sync.Mutex
-	st    *Store
-	state *State
+	mu sync.Mutex
+	// j is the replica: every shipped snapshot and record lands in it, and
+	// a promoted daemon journals into it as its primary journal.
+	j *Journal
 	// epoch is the highest leadership term seen; messages below it are
 	// rejected with ErrStaleEpoch.
 	epoch uint64
-	// applied is the last record sequence durably applied — the ack the
-	// primary uses to measure lag and resume after a follower restart.
-	applied uint64
 	// primarySeq is the primary's last reported WAL sequence.
 	primarySeq uint64
 	holder     string
@@ -42,43 +42,30 @@ type Follower struct {
 	lastBeat   time.Time // zero: no heartbeat seen yet
 	leaseEnd   time.Time // zero: lease tracking not started
 	promoted   bool
-	released   bool
-	// local compaction cadence, independent of the primary's.
-	snapshotEvery int
-	sinceSnap     int
-	now           func() time.Time
+	closed     bool
+	now        func() time.Time
 }
 
 // OpenFollower opens (or creates) a follower state directory, recovering
 // whatever snapshot and WAL tail a previous run left, positioned to
 // resume from its last applied sequence.
 func OpenFollower(dir string) (*Follower, error) {
-	st, state, err := Open(dir)
+	j, err := OpenJournal(dir)
 	if err != nil {
 		return nil, err
 	}
-	return &Follower{
-		st:            st,
-		state:         state,
-		epoch:         state.Epoch,
-		applied:       st.Seq(),
-		snapshotEvery: DefaultSnapshotEvery,
-		now:           time.Now,
-	}, nil
+	return &Follower{j: j, epoch: j.Epoch(), now: time.Now}, nil
 }
+
+// Journal returns the replica journal. Before promotion only the follower
+// writes it; after, it is the promoted daemon's journal.
+func (f *Follower) Journal() *Journal { return f.j }
 
 // SetClock overrides the follower's time source (tests, deterministic
 // experiments).
 func (f *Follower) SetClock(now func() time.Time) {
 	f.mu.Lock()
 	f.now = now
-	f.mu.Unlock()
-}
-
-// SetSnapshotEvery overrides the local compaction cadence (<=0 disables).
-func (f *Follower) SetSnapshotEvery(n int) {
-	f.mu.Lock()
-	f.snapshotEvery = n
 	f.mu.Unlock()
 }
 
@@ -94,17 +81,17 @@ func (f *Follower) StartLease(ttl time.Duration) {
 }
 
 // checkEpochLocked fences stale senders and adopts newer terms. Once
-// this follower has promoted (or handed its store off), it IS the leader
-// at f.epoch, so any sender at or below that term is a deposed primary
-// and must hear "stale epoch" — the signal that makes it fence itself.
-// The <= matters: a dead primary that reboots recovers its old term N
-// from its own journal and mints N+1 with BecomeLeader, colliding
-// exactly with the term the promoted follower took over at; fencing
-// only < would let that doppelgänger lead forever. Traffic from a
-// genuinely newer term reaches a promoted follower as ErrReleased: it
-// cannot apply it, but the sender is not stale.
+// this follower has promoted, it IS the leader at f.epoch, so any sender
+// at or below that term is a deposed primary and must hear "stale
+// epoch" — the signal that makes it fence itself. The <= matters: a dead
+// primary that reboots recovers its old term N from its own journal and
+// mints N+1 with BecomeLeader, colliding exactly with the term the
+// promoted follower took over at; fencing only < would let that
+// doppelgänger lead forever. Traffic from a genuinely newer term reaches
+// a promoted (or closed) follower as ErrReleased: it cannot apply it,
+// but the sender is not stale.
 func (f *Follower) checkEpochLocked(epoch uint64) error {
-	if f.promoted || f.released {
+	if f.promoted || f.closed {
 		if epoch <= f.epoch {
 			return ErrStaleEpoch
 		}
@@ -125,7 +112,7 @@ func (f *Follower) renewLocked() {
 }
 
 // InstallSnapshot verifies and persists a snapshot from the primary,
-// replacing the follower's state wholesale — the attach-time bootstrap
+// replacing the replica's state wholesale — the attach-time bootstrap
 // and the resync path after a shipping gap.
 func (f *Follower) InstallSnapshot(epoch uint64, data []byte) error {
 	f.mu.Lock()
@@ -133,53 +120,31 @@ func (f *Follower) InstallSnapshot(epoch uint64, data []byte) error {
 	if err := f.checkEpochLocked(epoch); err != nil {
 		return err
 	}
-	st, err := f.st.InstallSnapshot(data)
+	snapEpoch, err := f.j.install(data)
 	if err != nil {
 		return err
 	}
-	f.state = st
-	f.applied = f.st.Seq()
-	if st.Epoch > f.epoch {
-		f.epoch = st.Epoch
-	}
-	f.sinceSnap = 0
+	f.epoch = max(f.epoch, snapEpoch)
 	f.renewLocked()
 	return nil
 }
 
 // AppendBatch applies one shipped record batch: each record is CRC
-// verified, written verbatim to the follower's WAL, and folded into the
-// warm state. Records at or below the applied sequence are duplicates
-// from a re-send and are skipped; a gap returns ErrSeqGap so the primary
-// falls back to a snapshot. Returns the new applied sequence — the ack.
+// verified, written verbatim to the replica's WAL, and folded into its
+// state. Records at or below the applied sequence are duplicates from a
+// re-send and are skipped; a gap returns ErrSeqGap so the primary falls
+// back to a snapshot. Returns the new applied sequence — the ack.
 func (f *Follower) AppendBatch(epoch uint64, recs []Record) (uint64, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if err := f.checkEpochLocked(epoch); err != nil {
-		return f.applied, err
+		return f.j.Seq(), err
 	}
-	for _, rec := range recs {
-		if rec.Seq <= f.applied {
-			continue
-		}
-		if err := f.st.AppendRecord(rec); err != nil {
-			return f.applied, err
-		}
-		if err := f.state.apply(rec); err != nil {
-			return f.applied, err
-		}
-		f.applied = rec.Seq
-		f.sinceSnap++
+	if err := f.j.replay(recs); err != nil {
+		return f.j.Seq(), err
 	}
 	f.renewLocked()
-	if f.snapshotEvery > 0 && f.sinceSnap >= f.snapshotEvery {
-		f.state.Compact()
-		if err := f.st.Snapshot(f.state); err != nil {
-			return f.applied, err
-		}
-		f.sinceSnap = 0
-	}
-	return f.applied, nil
+	return f.j.Seq(), nil
 }
 
 // Heartbeat records a lease renewal from the primary: holder, ttl, and
@@ -194,9 +159,7 @@ func (f *Follower) Heartbeat(epoch uint64, holder string, ttl time.Duration, pri
 	if ttl > 0 {
 		f.leaseTTL = ttl
 	}
-	if primarySeq > f.primarySeq {
-		f.primarySeq = primarySeq
-	}
+	f.primarySeq = max(f.primarySeq, primarySeq)
 	f.lastBeat = f.now()
 	f.renewLocked()
 	return nil
@@ -207,78 +170,49 @@ func (f *Follower) Heartbeat(epoch uint64, holder string, ttl time.Duration, pri
 func (f *Follower) LeaseExpired() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return !f.released && !f.promoted && !f.leaseEnd.IsZero() && f.now().After(f.leaseEnd)
+	return !f.closed && !f.promoted && !f.leaseEnd.IsZero() && f.now().After(f.leaseEnd)
 }
 
-// Promote durably takes over leadership: the follower appends a KindEpoch
-// record at epoch+1 to its own WAL, fencing every message the old primary
-// may still send (they carry an epoch at or below it and are now stale).
-// The caller re-admits the returned state's live tasks exactly as boot
-// recovery does and then calls Handoff to confirm the transfer. A lease
+// Promote durably takes over leadership: the replica journal leads at one
+// past the highest epoch this follower has seen, fencing every message
+// the old primary may still send (they carry an epoch at or below it and
+// are now stale). The caller re-admits the journal's live tasks exactly
+// as boot recovery does and journals into it from then on. A lease
 // renewed since the caller observed expiry aborts with ErrLeaseLive —
 // the epoch bump and the renewal serialize on f.mu, so either the
 // primary's heartbeat lands first and promotion backs off, or promotion
 // commits first and the heartbeat is fenced; two live leaders can't
-// both come out of this window.
-func (f *Follower) Promote(holder string) (*State, uint64, error) {
+// both come out of this window. Promoting again returns the same epoch.
+func (f *Follower) Promote(holder string) (uint64, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.released {
-		return nil, 0, ErrReleased
+	if f.closed {
+		return 0, ErrReleased
 	}
 	if f.promoted {
-		return f.state, f.epoch, nil
+		return f.epoch, nil
 	}
 	if f.leaseTTL > 0 && !f.leaseEnd.IsZero() && !f.now().After(f.leaseEnd) {
-		return nil, 0, ErrLeaseLive
+		return 0, ErrLeaseLive
 	}
-	epoch := f.epoch + 1
-	rec, err := f.st.AppendFull(KindEpoch, EpochRecord{Epoch: epoch, Holder: holder, TTLNanos: f.leaseTTL.Nanoseconds()})
+	epoch, err := f.j.lead(f.epoch, holder, f.leaseTTL)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	if err := f.state.apply(rec); err != nil {
-		return nil, 0, err
-	}
-	f.applied = rec.Seq
-	f.epoch = epoch
-	f.holder = holder
-	f.promoted = true
-	return f.state, epoch, nil
+	f.epoch, f.holder, f.promoted = epoch, holder, true
+	return epoch, nil
 }
 
-// Store exposes the follower's underlying store so a promoted daemon
-// can attach its journal before confirming the transfer with Handoff:
-// Promote has already fenced all replication traffic, so the store is
-// quiescent, and deferring Handoff keeps a failed promotion attempt
-// from stranding the store in released limbo.
-func (f *Follower) Store() *Store {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.st
-}
-
-// Handoff releases the store and state to the promoted daemon: the
-// follower stops accepting replication traffic (fenced as stale at or
-// below its term, ErrReleased above it) so it can never race the
-// journal that takes over as single writer.
-func (f *Follower) Handoff() (*Store, *State) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.released = true
-	return f.st, f.state
-}
-
-// Close closes the underlying store (no-op after Handoff released it to
-// a journal).
+// Close stops the follower and closes its journal: later replication
+// traffic is fenced as after a promotion.
 func (f *Follower) Close() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.released {
+	if f.closed {
 		return nil
 	}
-	f.released = true
-	return f.st.Close()
+	f.closed = true
+	return f.j.Close()
 }
 
 // Epoch reports the highest leadership term seen.
@@ -289,21 +223,17 @@ func (f *Follower) Epoch() uint64 {
 }
 
 // Applied reports the last durably applied record sequence — the ack.
-func (f *Follower) Applied() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.applied
-}
+func (f *Follower) Applied() uint64 { return f.j.Seq() }
 
 // Lag reports how many records the follower trails the primary by, per
 // the last heartbeat's sequence.
 func (f *Follower) Lag() uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.primarySeq <= f.applied {
-		return 0
+	if applied := f.j.Seq(); f.primarySeq > applied {
+		return f.primarySeq - applied
 	}
-	return f.primarySeq - f.applied
+	return 0
 }
 
 // LeaseAge reports the time since the last heartbeat, or -1 if none has
@@ -329,12 +259,4 @@ func (f *Follower) Promoted() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.promoted
-}
-
-// State returns the follower's warm replayed state. Callers must treat it
-// as read-only while replication is live.
-func (f *Follower) State() *State {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.state
 }

@@ -12,10 +12,12 @@ import (
 // journal takes an automatic snapshot and compacts the log.
 const DefaultSnapshotEvery = 256
 
-// Journal turns the control plane's task-event stream into durable WAL
-// records and keeps the replayed State mirror current, so a snapshot can
-// be cut at any moment. It is the single writer on its Store; all methods
-// are safe for concurrent use.
+// Journal is the one writer of a state directory. On a primary it turns
+// the control plane's task-event stream into durable WAL records; on a
+// standby it replays the records and snapshots a primary ships (Follower
+// drives it). Either way every record reaches its State through the same
+// fold replay uses, so the state is current and a snapshot can be cut at
+// any moment. All methods are safe for concurrent use.
 //
 // The journal consumes the same drop-on-full telemetry bus every other
 // subscriber uses. Durability therefore depends on the subscription
@@ -50,12 +52,31 @@ type Journal struct {
 // without dropping, small enough to be free.
 const JournalBuffer = 4096
 
-// NewJournal wraps an open store and its recovered state.
+// NewJournal wraps an open store and its recovered state; the journal
+// owns both from here on.
 func NewJournal(st *Store, state *State) *Journal {
 	if state == nil {
 		state = NewState()
 	}
 	return &Journal{st: st, state: state, snapshotEvery: DefaultSnapshotEvery}
+}
+
+// OpenJournal opens (or creates) a state directory and recovers it into a
+// journal (see Open).
+func OpenJournal(dir string) (*Journal, error) {
+	st, state, err := Open(dir)
+	if err != nil {
+		return nil, err
+	}
+	return NewJournal(st, state), nil
+}
+
+// State returns a copy of the journal's current state: the live tasks a
+// boot or a promotion re-admits. The journal's own state never leaves it.
+func (j *Journal) State() *State {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return decodeState(j.state.encode())
 }
 
 // SetSnapshotEvery overrides the automatic compaction cadence (<=0
@@ -107,49 +128,20 @@ func (j *Journal) SinceSnapshot() int {
 	return j.sinceSnap
 }
 
-// Consume journals one task/device lifecycle event. Events that carry no
-// durable information (replanned markers, events for tasks whose specs
-// were never journaled) are skipped.
+// Consume journals one task/device lifecycle event as exactly one WAL
+// record, or none when the event carries nothing durable.
 func (j *Journal) Consume(ev telemetry.TaskEvent) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.err != nil {
 		return j.err
 	}
-	switch ev.State {
-	case telemetry.DeviceDegraded, telemetry.DeviceDead, telemetry.DeviceRecovered:
-		rec := DeviceRecord{DeviceID: ev.DeviceID, State: ev.State, Err: ev.Err}
-		if err := j.append(KindDevice, rec); err != nil {
-			return err
-		}
-		j.state.Devices[rec.DeviceID] = &rec
-	case telemetry.Replanned:
-		// Derived: the re-plan is recomputed at recovery anyway.
-	case telemetry.TaskSubmitted:
-		if ev.TaskID <= 0 || len(ev.Spec) == 0 {
-			return nil // unpersistable service (no goal codec): skip
-		}
-		if err := j.append(KindTaskSpec, TaskSpecRecord{TaskID: ev.TaskID, Spec: ev.Spec}); err != nil {
-			return err
-		}
-		j.state.Tasks[ev.TaskID] = &TaskRecord{ID: ev.TaskID, Spec: ev.Spec, State: ev.State}
-		if ev.TaskID > j.state.MaxTaskID {
-			j.state.MaxTaskID = ev.TaskID
-		}
-	default:
-		if ev.TaskID <= 0 {
-			return nil
-		}
-		t, ok := j.state.Tasks[ev.TaskID]
-		if !ok {
-			return nil // spec never journaled; a transition alone cannot restore it
-		}
-		if err := j.append(KindTaskState, TaskStateRecord{
-			TaskID: ev.TaskID, State: ev.State, UnixNanos: ev.Time.UnixNano(),
-		}); err != nil {
-			return err
-		}
-		t.State = ev.State
+	p := j.recordFor(ev)
+	if p == nil {
+		return nil
+	}
+	if err := j.appendLocked(p); err != nil {
+		return err
 	}
 	if j.snapshotEvery > 0 && j.sinceSnap >= j.snapshotEvery {
 		return j.snapshotLocked()
@@ -157,20 +149,97 @@ func (j *Journal) Consume(ev telemetry.TaskEvent) error {
 	return nil
 }
 
-// append writes one record, tracking the compaction counter and sticky
-// error, and hands the complete record to every replication observer.
+// recordFor maps an event to its record: device transitions to a device
+// record; a task event that carries the spec (a submission, a re-target,
+// a re-queue) to a spec record; any other event of a journaled task to a
+// state record. Replanned markers (derived: recovery re-plans anyway) and
+// events of tasks whose spec was never journaled (no goal codec; a
+// transition alone cannot restore them) map to nil. Caller holds j.mu.
+func (j *Journal) recordFor(ev telemetry.TaskEvent) payload {
+	switch ev.State {
+	case telemetry.DeviceDegraded, telemetry.DeviceDead, telemetry.DeviceRecovered:
+		return DeviceRecord{DeviceID: ev.DeviceID, State: ev.State, Err: ev.Err}
+	case telemetry.Replanned:
+		return nil
+	}
+	switch {
+	case ev.TaskID <= 0:
+		return nil
+	case len(ev.Spec) > 0:
+		return TaskSpecRecord{TaskID: ev.TaskID, Spec: ev.Spec}
+	case j.state.Tasks[ev.TaskID] == nil:
+		return nil
+	}
+	return TaskStateRecord{TaskID: ev.TaskID, State: ev.State, UnixNanos: ev.Time.UnixNano()}
+}
+
+// appendLocked writes one record and commits it; a write error is sticky.
 // Caller holds j.mu.
-func (j *Journal) append(kind string, data any) error {
-	rec, err := j.st.AppendFull(kind, data)
+func (j *Journal) appendLocked(p payload) error {
+	rec, err := j.st.AppendFull(p.kind(), p)
 	if err != nil {
 		j.failLocked(err)
 		return err
 	}
+	j.commitLocked(rec, p)
+	return nil
+}
+
+// commitLocked folds a record that reached the WAL into the state, counts
+// it toward compaction and hands it to every replication observer.
+// Caller holds j.mu.
+func (j *Journal) commitLocked(rec Record, p payload) {
+	j.state.fold(p)
 	j.sinceSnap++
 	for _, obs := range j.obs {
 		obs(rec)
 	}
+}
+
+// replay writes records a primary shipped verbatim and commits them — the
+// follower side of WAL shipping, which keeps the follower's WAL a byte
+// prefix of the primary's. Records at or below the journal's sequence are
+// re-sends and are skipped; a gap is ErrSeqGap and a damaged record
+// ErrCorrupt. No error here is sticky: a gap or a damaged record tells
+// the shipper to resync from a snapshot, and a replica that failed to
+// compact must stay promotable.
+func (j *Journal) replay(recs []Record) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	for _, rec := range recs {
+		if rec.Seq <= j.st.Seq() {
+			continue
+		}
+		p, err := decodeRecord(rec)
+		if err != nil {
+			return err
+		}
+		if err := j.st.AppendRecord(rec); err != nil {
+			return err
+		}
+		j.commitLocked(rec, p)
+	}
+	if j.snapshotEvery > 0 && j.sinceSnap >= j.snapshotEvery {
+		return j.compactLocked()
+	}
 	return nil
+}
+
+// install replaces the journal's state with a snapshot a primary shipped —
+// the follower's bootstrap and resync path — and returns the epoch the
+// snapshot records.
+func (j *Journal) install(data []byte) (uint64, error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	state, seq, err := DecodeSnapshot(data)
+	if err != nil {
+		return 0, err
+	}
+	if err := j.st.writeSnapshot(data, seq); err != nil {
+		return 0, err
+	}
+	j.state, j.sinceSnap = state, 0
+	return state.Epoch, nil
 }
 
 // failLocked records the sticky error and fires the one-shot
@@ -226,9 +295,18 @@ func (j *Journal) Snapshot() error {
 }
 
 func (j *Journal) snapshotLocked() error {
+	if err := j.compactLocked(); err != nil {
+		j.failLocked(err)
+		return err
+	}
+	return nil
+}
+
+// compactLocked drops ended tasks and persists the state, resetting the
+// WAL. Caller holds j.mu.
+func (j *Journal) compactLocked() error {
 	j.state.Compact()
 	if err := j.st.Snapshot(j.state); err != nil {
-		j.failLocked(err)
 		return err
 	}
 	j.sinceSnap = 0
@@ -240,19 +318,22 @@ func (j *Journal) snapshotLocked() error {
 // Every replicated append carries this epoch; a standby that later
 // promotes bumps it again, fencing this journal's writes.
 func (j *Journal) BecomeLeader(holder string, ttl time.Duration) (uint64, error) {
+	return j.lead(0, holder, ttl)
+}
+
+// lead is BecomeLeader past floor as well: a follower has seen terms on
+// the wire that its journal may not record yet, and must lead above them.
+func (j *Journal) lead(floor uint64, holder string, ttl time.Duration) (uint64, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.err != nil {
 		return 0, j.err
 	}
-	epoch := j.state.Epoch + 1
-	rec := EpochRecord{Epoch: epoch, Holder: holder, TTLNanos: ttl.Nanoseconds()}
-	if err := j.append(KindEpoch, rec); err != nil {
+	p := EpochRecord{Epoch: max(j.state.Epoch, floor) + 1, Holder: holder, TTLNanos: ttl.Nanoseconds()}
+	if err := j.appendLocked(p); err != nil {
 		return 0, err
 	}
-	j.state.Epoch = epoch
-	j.state.Leader = holder
-	return epoch, nil
+	return p.Epoch, nil
 }
 
 // Epoch reports the journal's current leadership term (0: never led).
@@ -307,13 +388,6 @@ func (j *Journal) SnapshotAge() time.Duration {
 		return -1
 	}
 	return time.Since(t)
-}
-
-// Sync flushes and fsyncs the underlying WAL.
-func (j *Journal) Sync() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.st.Sync()
 }
 
 // Close flushes, fsyncs and closes the store. The journal is unusable

@@ -2,70 +2,35 @@ package store
 
 import "surfos/internal/metrics"
 
-// RegisterJournalMetrics exposes the journal's durability state through
-// an accessor, so a daemon whose journal appears only at runtime — a
-// standby installing one when it promotes — still exports every family
-// from boot: the last appended WAL sequence, the compaction backlog
-// since the previous snapshot, whether journaling has failed, WAL size,
-// snapshot age, and the journaled leadership epoch. While get returns
-// nil the gauges read their zero values (-1 for snapshot age); they
-// start tracking the journal the moment one is installed. Journal lag —
-// events published but not yet consumed — is the journal subscriber's
-// bus backlog and is exported by the bus metrics, labelled with the
-// journal's subscription name.
-func RegisterJournalMetrics(r *metrics.Registry, get func() *Journal) {
+// RegisterMetrics exposes the journal's durability state: the last
+// appended WAL sequence, the compaction backlog since the previous
+// snapshot, whether journaling has failed, WAL size, snapshot age, and
+// the journaled leadership epoch. A standby's journal is its replica, so
+// the same families track replication before a promotion and journaling
+// after it. Journal lag — events published but not yet consumed — is the
+// journal subscriber's bus backlog and is exported by the bus metrics,
+// labelled with the journal's subscription name.
+func (j *Journal) RegisterMetrics(r *metrics.Registry) {
 	r.CounterFunc("surfos_journal_seq", "Last appended WAL record sequence.",
-		func() float64 {
-			if j := get(); j != nil {
-				return float64(j.Seq())
-			}
-			return 0
-		})
+		func() float64 { return float64(j.Seq()) })
 	r.GaugeFunc("surfos_journal_since_snapshot", "WAL records appended since the last snapshot.",
-		func() float64 {
-			if j := get(); j != nil {
-				return float64(j.SinceSnapshot())
-			}
-			return 0
-		})
+		func() float64 { return float64(j.SinceSnapshot()) })
 	r.GaugeFunc("surfos_journal_failed", "1 when journaling has stopped on a write error.",
 		func() float64 {
-			if j := get(); j != nil && j.Err() != nil {
+			if j.Err() != nil {
 				return 1
 			}
 			return 0
 		})
 	r.GaugeFunc("surfos_wal_size_bytes", "Bytes of acknowledged WAL records on disk since the last compaction.",
-		func() float64 {
-			if j := get(); j != nil {
-				return float64(j.WALSize())
-			}
-			return 0
-		})
+		func() float64 { return float64(j.WALSize()) })
 	r.GaugeFunc("surfos_snapshot_age_seconds", "Seconds since the last snapshot was persisted (-1: none yet).",
 		func() float64 {
-			j := get()
-			if j == nil {
-				return -1
+			if age := j.SnapshotAge(); age >= 0 {
+				return age.Seconds()
 			}
-			age := j.SnapshotAge()
-			if age < 0 {
-				return -1
-			}
-			return age.Seconds()
+			return -1
 		})
 	r.GaugeFunc("surfos_journal_epoch", "Leadership term recorded in the journal (0: never replicated).",
-		func() float64 {
-			if j := get(); j != nil {
-				return float64(j.Epoch())
-			}
-			return 0
-		})
-}
-
-// RegisterMetrics exposes one fixed journal's durability state (see
-// RegisterJournalMetrics). Daemons whose journal can be swapped in at
-// runtime should register through the accessor form instead.
-func (j *Journal) RegisterMetrics(r *metrics.Registry) {
-	RegisterJournalMetrics(r, func() *Journal { return j })
+		func() float64 { return float64(j.Epoch()) })
 }

@@ -126,7 +126,7 @@ func TestFollowerCrashReplayAtEveryBoundary(t *testing.T) {
 					t.Fatalf("follower recovery at boundary %d (%s): %v", boundary, tear, err)
 				}
 				defer fol.Close()
-				fol.SetSnapshotEvery(0)
+				fol.Journal().SetSnapshotEvery(0)
 				if got, want := fol.Applied(), uint64(boundary); got != want {
 					t.Errorf("recovered applied = %d, want %d", got, want)
 				}
@@ -141,7 +141,7 @@ func TestFollowerCrashReplayAtEveryBoundary(t *testing.T) {
 					t.Errorf("applied = %d, want %d", applied, want)
 				}
 
-				gotLive := fol.State().Live()
+				gotLive := fol.Journal().State().Live()
 				if len(gotLive) != len(wantLive) {
 					t.Fatalf("replayed %d live task(s), want %d", len(gotLive), len(wantLive))
 				}
@@ -173,21 +173,21 @@ func TestFollowerCrashReplayAtEveryBoundary(t *testing.T) {
 // TestStaleEpochFencingRejectsResumedPrimary pins the fencing invariant:
 // after a follower promotes past a primary's epoch, every message the
 // resumed stale primary sends — appends and heartbeats — is rejected
-// with ErrStaleEpoch, and after handoff the released follower refuses
-// everything.
+// with ErrStaleEpoch, while its journal leads on as the new primary's.
 func TestStaleEpochFencingRejectsResumedPrimary(t *testing.T) {
 	_, recs := masterWAL(t)
-	fol, err := OpenFollower(t.TempDir())
+	dir := t.TempDir()
+	fol, err := OpenFollower(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fol.SetSnapshotEvery(0)
+	fol.Journal().SetSnapshotEvery(0)
 	if _, err := fol.AppendBatch(1, recs); err != nil {
 		t.Fatal(err)
 	}
 
 	// The primary pauses; the follower promotes, bumping the epoch durably.
-	_, epoch, err := fol.Promote("standby")
+	epoch, err := fol.Promote("standby")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,12 +211,11 @@ func TestStaleEpochFencingRejectsResumedPrimary(t *testing.T) {
 		t.Errorf("stale snapshot err = %v, want ErrStaleEpoch", err)
 	}
 
-	// Handoff releases the follower: traffic at or below its own term is
-	// still a deposed primary and must hear the fencing signal; only a
-	// genuinely newer term gets ErrReleased (the follower cannot apply it,
-	// but the sender is not stale).
-	st, state := fol.Handoff()
-	defer st.Close()
+	// The promoted follower's journal leads at the new term. Traffic at
+	// or below that term is still a deposed primary and must hear the
+	// fencing signal; only a genuinely newer term gets ErrReleased (the
+	// follower cannot apply it, but the sender is not stale).
+	state := fol.Journal().State()
 	if state.Epoch != 2 {
 		t.Errorf("handed-off state epoch = %d, want 2", state.Epoch)
 	}
@@ -229,8 +228,7 @@ func TestStaleEpochFencingRejectsResumedPrimary(t *testing.T) {
 
 	// The promotion epoch record is durable: a reopen of the directory
 	// recovers epoch 2, so even a follower restart cannot regress the term.
-	dir := st.Dir()
-	if err := st.Close(); err != nil {
+	if err := fol.Close(); err != nil {
 		t.Fatal(err)
 	}
 	_, reopened, err := Open(dir)
@@ -285,8 +283,8 @@ func TestStaleEpochTieFencesRebootedPrimary(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fol.Close()
-	fol.SetSnapshotEvery(0)
-	_, epoch, err := fol.Promote("standby")
+	fol.Journal().SetSnapshotEvery(0)
+	epoch, err := fol.Promote("standby")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,9 +322,10 @@ func TestStaleEpochTieFencesRebootedPrimary(t *testing.T) {
 		t.Errorf("tied-epoch snapshot err = %v, want ErrStaleEpoch", err)
 	}
 
-	// The fence survives the handoff to the promoted journal.
-	hst, _ := fol.Handoff()
-	defer hst.Close()
+	// The fence survives the promoted journal journaling on its own.
+	if err := fol.Journal().Consume(event(5, telemetry.TaskSubmitted, specJSON(5))); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := fol.AppendBatch(rebootEpoch, []Record{next}); !errors.Is(err, ErrStaleEpoch) {
 		t.Errorf("post-handoff tied-epoch append err = %v, want ErrStaleEpoch", err)
 	}
@@ -357,7 +356,7 @@ func TestPromoteAbortsWhenLeaseRenewed(t *testing.T) {
 	if err := fol.Heartbeat(1, "primary", ttl, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := fol.Promote("standby"); !errors.Is(err, ErrLeaseLive) {
+	if _, err := fol.Promote("standby"); !errors.Is(err, ErrLeaseLive) {
 		t.Fatalf("promote after renewal err = %v, want ErrLeaseLive", err)
 	}
 	if fol.Promoted() {
@@ -369,7 +368,7 @@ func TestPromoteAbortsWhenLeaseRenewed(t *testing.T) {
 	if !fol.LeaseExpired() {
 		t.Fatal("lease did not re-expire")
 	}
-	if _, epoch, err := fol.Promote("standby"); err != nil {
+	if epoch, err := fol.Promote("standby"); err != nil {
 		t.Fatal(err)
 	} else if epoch != 2 {
 		t.Errorf("promoted epoch = %d, want 2", epoch)
@@ -417,7 +416,7 @@ func TestReplicationSnapshotAttachAndGap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fol.Close()
-	fol.SetSnapshotEvery(0)
+	fol.Journal().SetSnapshotEvery(0)
 	if err := fol.InstallSnapshot(epoch, snap); err != nil {
 		t.Fatal(err)
 	}
@@ -508,7 +507,7 @@ func TestFollowerLeaseExpiryAndPromotionIdempotence(t *testing.T) {
 		t.Fatal("silent lease did not expire")
 	}
 
-	_, epoch, err := fol.Promote("standby")
+	epoch, err := fol.Promote("standby")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,7 +515,7 @@ func TestFollowerLeaseExpiryAndPromotionIdempotence(t *testing.T) {
 		t.Errorf("promoted epoch = %d, want 2 (one past the heartbeat's term)", epoch)
 	}
 	// Promotion is idempotent: a second call reports the same epoch.
-	_, again, err := fol.Promote("standby")
+	again, err := fol.Promote("standby")
 	if err != nil {
 		t.Fatal(err)
 	}

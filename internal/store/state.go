@@ -21,13 +21,14 @@ const (
 	KindEpoch = "epoch"
 )
 
-// Terminal lifecycle phases: a task whose last journaled state is one of
-// these is "ended" and is not re-admitted at recovery. The strings match
-// telemetry's task phase constants; store avoids the import so it stays a
-// leaf package usable from any layer.
+// Lifecycle phases the fold names. A task whose last journaled state is
+// done or failed is "ended" and is not re-admitted at recovery; a spec
+// record starts (or revives) a task as submitted. The strings match
+// telemetry's task phase constants.
 const (
-	stateDone   = "done"
-	stateFailed = "failed"
+	stateSubmitted = "submitted"
+	stateDone      = "done"
+	stateFailed    = "failed"
 )
 
 // TaskSpecRecord journals a task's submission: the ID it must be restored
@@ -140,57 +141,81 @@ func (s *State) Compact() {
 	}
 }
 
-// apply folds one WAL record into the state. Replay is idempotent:
-// re-applying a duplicated record leaves the state unchanged, so an
-// at-least-once journal writer is safe. Transitions for unknown task IDs
-// are skipped — they belong to tasks compacted away or to services whose
-// goals are not persistable.
-func (s *State) apply(rec Record) error {
+// payload is one decoded WAL record body: a TaskSpecRecord,
+// TaskStateRecord, DeviceRecord or EpochRecord.
+type payload interface{ kind() string }
+
+func (TaskSpecRecord) kind() string  { return KindTaskSpec }
+func (TaskStateRecord) kind() string { return KindTaskState }
+func (DeviceRecord) kind() string    { return KindDevice }
+func (EpochRecord) kind() string     { return KindEpoch }
+
+// decodeRecord parses a record's payload into its typed form. Unknown
+// kinds decode to nil and are tolerated (forward compatibility): a newer
+// daemon's records must not brick an older one reading the dir.
+func decodeRecord(rec Record) (payload, error) {
 	switch rec.Kind {
 	case KindTaskSpec:
-		var m TaskSpecRecord
-		if err := json.Unmarshal(rec.Data, &m); err != nil {
-			return fmt.Errorf("%w: task_spec seq %d: %v", ErrCorrupt, rec.Seq, err)
-		}
+		return decodeAs[TaskSpecRecord](rec)
+	case KindTaskState:
+		return decodeAs[TaskStateRecord](rec)
+	case KindDevice:
+		return decodeAs[DeviceRecord](rec)
+	case KindEpoch:
+		return decodeAs[EpochRecord](rec)
+	}
+	return nil, nil
+}
+
+func decodeAs[T payload](rec Record) (payload, error) {
+	var m T
+	if err := json.Unmarshal(rec.Data, &m); err != nil {
+		return nil, fmt.Errorf("%w: %s seq %d: %v", ErrCorrupt, rec.Kind, rec.Seq, err)
+	}
+	return m, nil
+}
+
+// fold applies one decoded record. It is the only code that changes a
+// State: replay, the journal's live state and a follower's replica all
+// fold the same records the same way. Folding is idempotent, so a
+// duplicated record leaves the state unchanged. Transitions for unknown
+// task IDs are skipped — they belong to tasks compacted away or to
+// services whose goals are not persistable.
+func (s *State) fold(p payload) {
+	switch m := p.(type) {
+	case TaskSpecRecord:
+		// A spec record means "this task is live with this spec": it
+		// creates the task, revives an ended one as submitted, and keeps
+		// the state of a live one, so a re-target or a re-admission never
+		// resets a parked task.
 		t, ok := s.Tasks[m.TaskID]
-		if !ok {
-			t = &TaskRecord{ID: m.TaskID, State: "submitted"}
+		if !ok || t.Ended() {
+			t = &TaskRecord{ID: m.TaskID, State: stateSubmitted}
 			s.Tasks[m.TaskID] = t
 		}
 		t.Spec = m.Spec
-		if m.TaskID > s.MaxTaskID {
-			s.MaxTaskID = m.TaskID
-		}
-	case KindTaskState:
-		var m TaskStateRecord
-		if err := json.Unmarshal(rec.Data, &m); err != nil {
-			return fmt.Errorf("%w: task_state seq %d: %v", ErrCorrupt, rec.Seq, err)
-		}
+		s.MaxTaskID = max(s.MaxTaskID, m.TaskID)
+	case TaskStateRecord:
 		if t, ok := s.Tasks[m.TaskID]; ok {
 			t.State = m.State
 		}
-		if m.TaskID > s.MaxTaskID {
-			s.MaxTaskID = m.TaskID
-		}
-	case KindDevice:
-		var m DeviceRecord
-		if err := json.Unmarshal(rec.Data, &m); err != nil {
-			return fmt.Errorf("%w: device_health seq %d: %v", ErrCorrupt, rec.Seq, err)
-		}
+		s.MaxTaskID = max(s.MaxTaskID, m.TaskID)
+	case DeviceRecord:
 		s.Devices[m.DeviceID] = &m
-	case KindEpoch:
-		var m EpochRecord
-		if err := json.Unmarshal(rec.Data, &m); err != nil {
-			return fmt.Errorf("%w: epoch seq %d: %v", ErrCorrupt, rec.Seq, err)
-		}
+	case EpochRecord:
 		if m.Epoch > s.Epoch {
-			s.Epoch = m.Epoch
-			s.Leader = m.Holder
+			s.Epoch, s.Leader = m.Epoch, m.Holder
 		}
-	default:
-		// Unknown kinds are tolerated (forward compatibility): a newer
-		// daemon's records must not brick an older one reading the dir.
 	}
+}
+
+// apply decodes one WAL record and folds it into the state.
+func (s *State) apply(rec Record) error {
+	p, err := decodeRecord(rec)
+	if err != nil {
+		return err
+	}
+	s.fold(p)
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -310,61 +311,148 @@ func TestDuplicateTransitionsIdempotent(t *testing.T) {
 }
 
 // TestSnapshotTailEqualsPureWAL: recovery from snapshot + WAL tail must
-// land on exactly the state a pure record-by-record replay produces.
+// land on exactly the state a pure record-by-record replay produces, and
+// so must the state a journal keeps while it writes: its snapshot is the
+// pure replay of its own WAL.
 func TestSnapshotTailEqualsPureWAL(t *testing.T) {
-	dir := t.TempDir()
-	s, st, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Keep every record for the pure-replay fold.
-	var all []Record
-	keep := func(kind string, data any) {
-		t.Helper()
-		raw, _ := json.Marshal(data)
-		seq, err := s.Append(kind, data)
+	t.Run("store", func(t *testing.T) {
+		dir := t.TempDir()
+		s, st, err := Open(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		all = append(all, Record{Seq: seq, Kind: kind, Data: raw})
-	}
-	keep(KindTaskSpec, TaskSpecRecord{TaskID: 1, Spec: specJSON(1)})
-	keep(KindTaskSpec, TaskSpecRecord{TaskID: 2, Spec: specJSON(2)})
-	keep(KindTaskState, TaskStateRecord{TaskID: 1, State: "running"})
-	keep(KindTaskState, TaskStateRecord{TaskID: 2, State: "done"})
+		// Keep every record for the pure-replay fold.
+		var all []Record
+		keep := func(kind string, data any) {
+			t.Helper()
+			raw, _ := json.Marshal(data)
+			seq, err := s.Append(kind, data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, Record{Seq: seq, Kind: kind, Data: raw})
+		}
+		keep(KindTaskSpec, TaskSpecRecord{TaskID: 1, Spec: specJSON(1)})
+		keep(KindTaskSpec, TaskSpecRecord{TaskID: 2, Spec: specJSON(2)})
+		keep(KindTaskState, TaskStateRecord{TaskID: 1, State: "running"})
+		keep(KindTaskState, TaskStateRecord{TaskID: 2, State: "done"})
 
-	// Snapshot mid-history (with compaction, as the journal does), then
-	// keep appending.
-	for _, r := range all {
-		if err := st.Apply(r); err != nil {
+		// Snapshot mid-history (with compaction, as the journal does), then
+		// keep appending.
+		for _, r := range all {
+			if err := st.Apply(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st.Compact()
+		if err := s.Snapshot(st); err != nil {
 			t.Fatal(err)
 		}
-	}
-	st.Compact()
-	if err := s.Snapshot(st); err != nil {
-		t.Fatal(err)
-	}
-	keep(KindTaskSpec, TaskSpecRecord{TaskID: 3, Spec: specJSON(3)})
-	keep(KindTaskState, TaskStateRecord{TaskID: 3, State: "idle"})
-	keep(KindDevice, DeviceRecord{DeviceID: "north", State: "device_degraded"})
-	s.Close()
+		keep(KindTaskSpec, TaskSpecRecord{TaskID: 3, Spec: specJSON(3)})
+		keep(KindTaskState, TaskStateRecord{TaskID: 3, State: "idle"})
+		keep(KindDevice, DeviceRecord{DeviceID: "north", State: "device_degraded"})
+		s.Close()
 
-	_, got, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pure := NewState()
-	for _, r := range all {
-		if err := pure.Apply(r); err != nil {
+		_, got, err := Open(dir)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	pure.Compact() // the snapshot compacted; align the pure fold
-	gotJSON, _ := json.Marshal(got.encode())
-	pureJSON, _ := json.Marshal(pure.encode())
-	if string(gotJSON) != string(pureJSON) {
-		t.Errorf("snapshot+tail recovery diverges from pure replay:\n got %s\npure %s", gotJSON, pureJSON)
-	}
+		pure := NewState()
+		for _, r := range all {
+			if err := pure.Apply(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pure.Compact() // the snapshot compacted; align the pure fold
+		gotJSON, _ := json.Marshal(got.encode())
+		pureJSON, _ := json.Marshal(pure.encode())
+		if string(gotJSON) != string(pureJSON) {
+			t.Errorf("snapshot+tail recovery diverges from pure replay:\n got %s\npure %s", gotJSON, pureJSON)
+		}
+	})
+	t.Run("journal", func(t *testing.T) {
+		dir := t.TempDir()
+		j, err := OpenJournal(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j.Close()
+		j.SetSnapshotEvery(0)
+		if _, err := j.BecomeLeader("primary", time.Second); err != nil {
+			t.Fatal(err)
+		}
+		moved := func(id int, at string) json.RawMessage {
+			return json.RawMessage(fmt.Sprintf(`{"id":%d,"kind":"link","priority":1,"goal":{"pos":%q}}`, id, at))
+		}
+		for _, ev := range []telemetry.TaskEvent{
+			event(1, telemetry.TaskSubmitted, specJSON(1)),
+			event(1, telemetry.TaskScheduled, nil),
+			event(1, telemetry.TaskRunning, nil),
+			event(2, telemetry.TaskSubmitted, specJSON(2)),
+			event(2, telemetry.TaskRunning, nil),
+			// Moved within its domain: the re-plan's scheduled event
+			// carries the new spec, and the task stays running.
+			event(1, telemetry.TaskScheduled, moved(1, "b")),
+			event(1, telemetry.TaskRunning, nil),
+			// Handed off to another domain, then parked; a re-admission
+			// (spec on a live id) keeps it parked.
+			event(2, telemetry.TaskHandoff, moved(2, "c")),
+			event(2, telemetry.TaskIdle, nil),
+			event(2, telemetry.TaskSubmitted, moved(2, "c")),
+			// Starved, then re-queued: the spec revives the failed task.
+			event(3, telemetry.TaskSubmitted, specJSON(3)),
+			event(3, telemetry.TaskFailed, nil),
+			{State: telemetry.DeviceDead, DeviceID: "east", Err: "heartbeat lost"},
+			event(3, telemetry.TaskResumed, specJSON(3)),
+			event(3, telemetry.TaskRunning, nil),
+			{State: telemetry.DeviceRecovered, DeviceID: "east"},
+			event(4, telemetry.TaskSubmitted, specJSON(4)),
+			event(4, telemetry.TaskDone, nil),
+		} {
+			if err := j.Consume(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := j.BecomeLeader("primary", time.Second); err != nil {
+			t.Fatal(err)
+		}
+
+		// The pure replay: a second directory holding only the WAL.
+		pureDir := t.TempDir()
+		walBytes, err := os.ReadFile(filepath.Join(dir, walName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(pureDir, walName), walBytes, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ps, pure, err := Open(pureDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps.Close()
+		pure.Compact() // the snapshot compacts; align the pure fold
+
+		if err := j.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := os.ReadFile(filepath.Join(dir, snapshotName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := DecodeSnapshot(bytes.TrimSpace(snap))
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotJSON, _ := json.Marshal(got.encode())
+		pureJSON, _ := json.Marshal(pure.encode())
+		if string(gotJSON) != string(pureJSON) {
+			t.Errorf("journal snapshot diverges from the pure replay of its WAL:\n got %s\npure %s", gotJSON, pureJSON)
+		}
+		if live := got.Live(); len(live) != 3 || live[0].State != "running" || live[1].State != "idle" || live[2].State != "running" {
+			t.Errorf("live = %+v, want 1 running, 2 idle, 3 running", live)
+		}
+	})
 }
 
 // TestSnapshotCrashBeforeTruncate: a crash between the snapshot rename and
@@ -431,7 +519,7 @@ func TestSnapshotCrashBeforeTruncate(t *testing.T) {
 		t.Fatal(err)
 	}
 	s3.Close()
-	if err := os.Rename(filepath.Join(s3.Dir(), snapshotName), filepath.Join(dir, snapshotName)); err != nil {
+	if err := os.Rename(filepath.Join(s3.dir, snapshotName), filepath.Join(dir, snapshotName)); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := Open(dir); !errors.Is(err, ErrCorrupt) {

@@ -17,6 +17,15 @@
 // CRC, fails to parse, or breaks the sequence means the file was damaged
 // after being written, and silently dropping it could resurrect or lose
 // tasks.
+//
+// One owner, one fold. A Journal is the only writer of a state directory:
+// a primary's journal turns lifecycle events into records, a standby's
+// (driven by Follower) replays the records a primary ships, and promotion
+// makes the standby's journal lead. Every record — replayed, written or
+// shipped — reaches a State through the same decode and fold, so the
+// journal's state is always the pure replay of its WAL. A task_spec
+// record means "this task is live with this spec": it creates the task,
+// revives an ended one, and keeps a live one's state.
 package store
 
 import (
@@ -149,9 +158,6 @@ func Open(dir string) (*Store, *State, error) {
 // Seq returns the last sequence number written or recovered.
 func (s *Store) Seq() uint64 { return s.seq }
 
-// Dir returns the state directory path.
-func (s *Store) Dir() string { return s.dir }
-
 // Append marshals data and writes one WAL record, flushing to the OS and
 // fsyncing before returning its sequence number: a record handed to
 // Append survives a machine crash. The control plane journals tens of
@@ -269,9 +275,6 @@ func (s *Store) Close() error {
 // between, a crash at any point merely leaves WAL records the snapshot
 // already covers — replay skips them by sequence.
 func (s *Store) Snapshot(st *State) error {
-	if s.f == nil {
-		return errors.New("store: closed")
-	}
 	data, err := EncodeSnapshot(s.seq, st)
 	if err != nil {
 		return err
@@ -279,29 +282,14 @@ func (s *Store) Snapshot(st *State) error {
 	return s.writeSnapshot(data, s.seq)
 }
 
-// InstallSnapshot verifies and atomically persists a snapshot received
-// from a replication peer, resets the WAL, and returns the decoded state
-// positioned at the snapshot's sequence. It is the follower's resync
-// path: after it, AppendRecord continues the chain from the returned
-// sequence.
-func (s *Store) InstallSnapshot(data []byte) (*State, error) {
-	if s.f == nil {
-		return nil, errors.New("store: closed")
-	}
-	st, seq, err := DecodeSnapshot(data)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.writeSnapshot(data, seq); err != nil {
-		return nil, err
-	}
-	return st, nil
-}
-
 // writeSnapshot persists pre-encoded snapshot bytes with the atomic
 // temp+fsync+rename+dir-fsync dance, then compacts the WAL and moves the
-// store's sequence to the snapshot's.
+// store's sequence to the snapshot's — for a snapshot a replication peer
+// shipped, the point AppendRecord continues the chain from.
 func (s *Store) writeSnapshot(data []byte, seq uint64) error {
+	if s.f == nil {
+		return errors.New("store: closed")
+	}
 	tmp := filepath.Join(s.dir, snapshotName+".tmp")
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -339,7 +327,7 @@ func (s *Store) writeSnapshot(data []byte, seq uint64) error {
 	}
 	// The snapshot is now authoritative: the WAL is empty and the chain
 	// continues from its sequence (a no-op for local Snapshot, the resync
-	// point for InstallSnapshot).
+	// point for a shipped one).
 	s.seq = seq
 	s.walBytes = 0
 	s.snapTime = time.Now()
@@ -438,6 +426,11 @@ func readWAL(path string, afterSeq uint64) (recs []Record, lastSeq uint64, goodL
 	if err != nil {
 		return nil, 0, 0, err
 	}
+	return parseWAL(data, afterSeq)
+}
+
+// parseWAL is readWAL over the file's bytes.
+func parseWAL(data []byte, afterSeq uint64) (recs []Record, lastSeq uint64, goodLen int64, err error) {
 	lastSeq = afterSeq
 	var prev uint64
 	first := true

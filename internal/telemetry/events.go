@@ -65,9 +65,11 @@ type TaskEvent struct {
 	Err string
 
 	// Spec is the task's durable submission spec (the orchestrator's
-	// TaskSpec JSON), attached to submitted events only. Journals persist
-	// it so a restarted control plane can re-admit the task; other
-	// consumers may ignore it.
+	// TaskSpec JSON), attached to events that (re)define the task: a
+	// submission, a handoff, a starved task's re-queue, and the first
+	// scheduled event after a within-domain move. Journals persist it so
+	// a restarted control plane re-admits the task as it last stood;
+	// other consumers may ignore it.
 	Spec []byte
 
 	// DeviceID names the surface for device health events (Device* and
