@@ -9,20 +9,24 @@ all: build vet test
 # figures modulo timing strings), a one-iteration benchmark smoke pass
 # so benchmark code cannot rot, the seeded fault-injection suite, the
 # crash-recovery boundary replay, the replication/failover suite, a
-# short fuzz pass over the wire codec, every ctrlproto decoder and the
-# WAL and snapshot readers, and
+# short fuzz pass over the wire codec, every ctrlproto decoder, the
+# WAL and snapshot readers and the broker's text parsers, and
 # the fan-out determinism suite (engine, sensing, plan cells) repeated at
 # GOMAXPROCS=1,2,4.
 ci: build vet staticcheck fmt-check race golden bench-smoke test-faults test-crash test-failover test-mobility fuzz-smoke test-parallel
 
 # fuzz-smoke runs the wire-frame fuzzer, the ctrlproto payload-decoder
-# fuzzer and the WAL and snapshot readers' fuzzers briefly on top of their
-# seed corpora: enough to catch decoder regressions without a fuzz farm.
+# fuzzer, the WAL and snapshot readers' fuzzers and the broker's two text
+# parsers (intent translation, spec-sheet driver generation) briefly on top
+# of their seed corpora: enough to catch parser regressions without a fuzz
+# farm.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzFrame -fuzztime=10s ./internal/wire/
 	$(GO) test -run=NONE -fuzz=FuzzDecode -fuzztime=10s ./internal/ctrlproto/
 	$(GO) test -run=NONE -fuzz=FuzzWAL -fuzztime=10s ./internal/store/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeSnapshot -fuzztime=10s ./internal/store/
+	$(GO) test -run=NONE -fuzz=FuzzTranslate -fuzztime=10s ./internal/broker/
+	$(GO) test -run=NONE -fuzz=FuzzGenerateSpec -fuzztime=10s ./internal/broker/
 
 # staticcheck runs honnef.co/go/tools when the binary is available (the
 # GitHub workflow installs the pinned version; offline dev containers

@@ -343,6 +343,9 @@ func TestGenerateSpecErrors(t *testing.T) {
 		"model: X\nband: 24 GHz\ncontrol: uhf", // unknown control
 		"just some words",                      // no key
 		"model: X",                             // missing band → invalid spec
+		"model: X\nband: 1-Inf GHz",            // non-finite band
+		"model: X\nband: 24 GHz\nefficiency: NaN",
+		"model: X\nband: 24 GHz\nfixed_cost: Inf",
 	}
 	for i, c := range cases {
 		if _, err := GenerateSpec(c); err == nil {

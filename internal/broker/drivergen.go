@@ -239,7 +239,7 @@ import (
 	"surfos/internal/surface"
 )
 
-// Register{{.Ident}} adds the {{.Model}} design to the driver catalog.
+// Register{{.Ident}} adds the {{printf "%q" .Model}} design to the driver catalog.
 func Register{{.Ident}}() {
 	driver.Register(driver.Spec{
 		Model:             {{printf "%q" .Model}},

@@ -11,16 +11,20 @@
 // the finest granularity (element-wise arrays); the driver projects the
 // request onto what the hardware can realize, mirroring how the paper's
 // unified configuration interface treats passive and programmable surfaces
-// alike.
+// alike. Its ControlMap names the free variables behind those arrays, so
+// planners can search the hardware's control space directly.
 package driver
 
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"time"
 
 	"surfos/internal/em"
+	"surfos/internal/rfsim"
 	"surfos/internal/surface"
 )
 
@@ -66,20 +70,21 @@ func (s Spec) Validate() error {
 	if s.Model == "" {
 		return errors.New("driver: spec needs a model name")
 	}
-	if s.FreqLowHz <= 0 || s.FreqHighHz < s.FreqLowHz {
+	// Comparisons are written so that NaN fails them.
+	if !(s.FreqLowHz > 0 && s.FreqHighHz >= s.FreqLowHz) || math.IsInf(s.FreqHighHz, 1) {
 		return fmt.Errorf("driver: %s has invalid band [%g, %g]", s.Model, s.FreqLowHz, s.FreqHighHz)
 	}
 	if s.PhaseBits < 0 || s.PhaseBits > 16 {
 		return fmt.Errorf("driver: %s has invalid phase bits %d", s.Model, s.PhaseBits)
 	}
-	if s.ElementEfficiency < 0 || s.ElementEfficiency > 1 {
+	if !(s.ElementEfficiency >= 0 && s.ElementEfficiency <= 1) {
 		return fmt.Errorf("driver: %s has invalid efficiency %g", s.Model, s.ElementEfficiency)
 	}
 	if !s.Reconfigurable && s.Granularity != surface.FixedPattern {
 		return fmt.Errorf("driver: %s is passive but granularity is %v", s.Model, s.Granularity)
 	}
-	if s.CostPerElementUSD < 0 || s.FixedCostUSD < 0 {
-		return fmt.Errorf("driver: %s has negative cost", s.Model)
+	if !(s.CostPerElementUSD >= 0 && s.FixedCostUSD >= 0) || math.IsInf(s.CostPerElementUSD+s.FixedCostUSD, 1) {
+		return fmt.Errorf("driver: %s has negative or non-finite cost", s.Model)
 	}
 	return nil
 }
@@ -111,6 +116,11 @@ var (
 type Driver struct {
 	spec Spec
 	surf *surface.Surface
+	// nLines and lines are the design's control lines over the layout
+	// (surface.Layout.Lines): fixed at construction, shared read-only by
+	// every ControlMap of a healthy panel.
+	nLines int
+	lines  []int
 
 	mu         sync.Mutex
 	codebook   surface.Codebook
@@ -140,7 +150,9 @@ func New(spec Spec, surf *surface.Surface) (*Driver, error) {
 		return nil, fmt.Errorf("driver: %s is %v but surface %q is %v",
 			spec.Model, spec.OpMode, surf.Name, surf.Mode)
 	}
-	return &Driver{spec: spec, surf: surf, active: -1}, nil
+	d := &Driver{spec: spec, surf: surf, active: -1}
+	d.nLines, d.lines = surf.Layout.Lines(spec.Granularity)
+	return d, nil
 }
 
 // Spec returns the hardware specification.
@@ -180,8 +192,8 @@ func (d *Driver) Probe() error { return d.gate() }
 
 // StuckElements returns the indices of elements frozen by actuator faults,
 // ascending (nil for healthy hardware). The hardware manager exposes this
-// as the device's element mask, and Project pins these elements so
-// optimizers search around them.
+// as the device's element mask; ControlMap hands it to the optimizer and
+// Project pins these elements.
 func (d *Driver) StuckElements() []int {
 	if f := d.Faults(); f != nil {
 		return f.StuckElements()
@@ -189,15 +201,19 @@ func (d *Driver) StuckElements() []int {
 	return nil
 }
 
-// pinStuck overwrites stuck elements with their frozen values — the
+// stuckMask returns the stuck elements and their frozen values (nil for
+// healthy hardware).
+func (d *Driver) stuckMask() map[int]float64 {
+	if f := d.Faults(); f != nil {
+		return f.stuckMask()
+	}
+	return nil
+}
+
+// pin overwrites cfg's stuck elements with their frozen values — the
 // configuration the panel physically realizes regardless of what was
 // requested.
-func (d *Driver) pinStuck(cfg surface.Config) surface.Config {
-	f := d.Faults()
-	if f == nil {
-		return cfg
-	}
-	mask := f.stuckMask()
+func pin(cfg surface.Config, mask map[int]float64) surface.Config {
 	if len(mask) == 0 {
 		return cfg
 	}
@@ -208,6 +224,33 @@ func (d *Driver) pinStuck(cfg surface.Config) surface.Config {
 		}
 	}
 	return out
+}
+
+// ControlMap returns the panel's control space: which control line drives
+// each element (granularity × layout), the fabricated bias, and the stuck
+// elements at their frozen phases. Planning optimizes over the map's lines
+// and expands the answer to elements, so a column-wise panel costs one
+// variable per column and the optimizer already searches around a fault.
+func (d *Driver) ControlMap() rfsim.ControlMap {
+	d.mu.Lock()
+	bias := d.bias
+	d.mu.Unlock()
+	stuck := d.stuckMask()
+	group := d.lines
+	var offset []float64
+	if bias != nil || len(stuck) > 0 {
+		offset = make([]float64, len(group))
+		copy(offset, bias)
+	}
+	if len(stuck) > 0 {
+		group = slices.Clone(group)
+		for k, v := range stuck {
+			if k >= 0 && k < len(group) {
+				group[k], offset[k] = -1, v
+			}
+		}
+	}
+	return rfsim.NewControlMap(d.nLines, group, offset)
 }
 
 // EffectiveActive returns the configuration the panel physically presents
@@ -226,7 +269,7 @@ func (d *Driver) EffectiveActive() (cfg surface.Config, ok bool) {
 	if !ok {
 		return surface.Config{}, false
 	}
-	return d.pinStuck(active), true
+	return pin(active, d.stuckMask()), true
 }
 
 // SetBias installs the panel's fixed element-wise phase profile (see the
@@ -254,15 +297,19 @@ func (d *Driver) SetBias(vals []float64) error {
 
 // Project returns the nearest configuration the hardware can realize:
 // granularity sharing followed by phase quantization, computed relative to
-// the fabricated bias profile when one is installed. It is idempotent and
-// is exposed so optimizers can run projected gradient descent against the
-// true hardware constraint set.
-// Stuck elements (actuator faults) are pinned last: whatever the request,
-// those elements realize their frozen value, so optimizers running projected
-// descent against Project automatically search around the fault.
+// the fabricated bias profile when one is installed. It is idempotent.
+// Stuck elements (actuator faults) have no say in their line's shared value
+// and are pinned last: whatever the request, those elements realize their
+// frozen value. Project(Expand(θ)) of the ControlMap is Expand of θ
+// quantized, so a plan made in control space only loses quantization here.
 func (d *Driver) Project(cfg surface.Config) surface.Config {
+	stuck := d.stuckMask()
+	var skip func(int) bool
+	if len(stuck) > 0 {
+		skip = func(i int) bool { _, ok := stuck[i]; return ok }
+	}
 	if cfg.Property != surface.Phase {
-		return d.pinStuck(cfg.ProjectGranularity(d.spec.Granularity, d.surf.Layout))
+		return pin(cfg.ProjectGranularityExcept(d.spec.Granularity, d.surf.Layout, skip), stuck)
 	}
 	d.mu.Lock()
 	bias := d.bias
@@ -273,14 +320,14 @@ func (d *Driver) Project(cfg surface.Config) surface.Config {
 			work.Values[i] -= bias[i]
 		}
 	}
-	out := work.ProjectGranularity(d.spec.Granularity, d.surf.Layout).Quantize(d.spec.PhaseBits)
+	out := work.ProjectGranularityExcept(d.spec.Granularity, d.surf.Layout, skip).Quantize(d.spec.PhaseBits)
 	if bias != nil {
 		for i := range out.Values {
 			out.Values[i] += bias[i]
 		}
 		out = out.Normalize()
 	}
-	return d.pinStuck(out)
+	return pin(out, stuck)
 }
 
 // ShiftPhase programs a phase configuration — the unified primitive the

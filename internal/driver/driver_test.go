@@ -3,6 +3,7 @@ package driver
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 
 	"surfos/internal/geom"
@@ -368,4 +369,101 @@ func TestBiasAfterFabricationRejected(t *testing.T) {
 	if err := d.SetBias(make([]float64, 4)); err == nil {
 		t.Error("bias accepted after configuration")
 	}
+}
+
+// checkControlProject checks a driver's ControlMap against its Project: Project(Expand(θ)) must be Expand of θ quantized, so a plan
+// made over the map's lines loses only quantization to the projection.
+func checkControlProject(t *testing.T, d *Driver, wantGroups int) {
+	t.Helper()
+	m := d.ControlMap()
+	if m.Groups != wantGroups || len(m.Group) != d.Surface().NumElements() {
+		t.Fatalf("control map has %d lines over %d elements, want %d over %d",
+			m.Groups, len(m.Group), wantGroups, d.Surface().NumElements())
+	}
+	r := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 20; trial++ {
+		theta := make([]float64, m.Groups)
+		for g := range theta {
+			theta[g] = r.Float64()*4*math.Pi - math.Pi
+		}
+		got := d.Project(surface.Config{Property: surface.Phase, Values: m.Expand(theta)})
+		q := surface.Config{Property: surface.Phase, Values: theta}.Quantize(d.Spec().PhaseBits)
+		want := m.Expand(q.Values)
+		for k := range want {
+			if d := math.Remainder(got.Values[k]-want[k], 2*math.Pi); math.Abs(d) > 1e-9 {
+				t.Fatalf("element %d: Project(Expand(θ)) = %v, Expand(quantized θ) = %v", k, got.Values[k], want[k])
+			}
+		}
+	}
+}
+
+func TestControlMapProjectsToQuantizedLines(t *testing.T) {
+	for _, tc := range []struct {
+		model  string
+		groups int
+	}{
+		{ModelScatterMIMO, 12}, // element-wise
+		{ModelNRSurface, 4},    // column-wise
+		{ModelScrolls, 3},      // row-wise
+	} {
+		t.Run(tc.model, func(t *testing.T) {
+			spec := mustSpec(t, tc.model)
+			d, err := New(spec, testSurface(t, spec.OpMode, 3, 4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkControlProject(t, d, tc.groups)
+			bias := make([]float64, 12)
+			for k := range bias {
+				bias[k] = 0.37 * float64(k)
+			}
+			if spec.Control == surface.Phase {
+				if err := d.SetBias(bias); err != nil {
+					t.Fatal(err)
+				}
+				if m := d.ControlMap(); m.Offset[5] != bias[5] {
+					t.Fatalf("bias not in the control map: offset %v", m.Offset)
+				}
+				checkControlProject(t, d, tc.groups)
+			}
+		})
+	}
+}
+
+// Stuck elements leave their line (Group -1) at their frozen phase, have no
+// say in the line's projected value, and are pinned by Project.
+func TestControlMapStuckElements(t *testing.T) {
+	spec := mustSpec(t, ModelNRSurface)
+	d, err := New(spec, testSurface(t, spec.OpMode, 3, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bias := make([]float64, 12)
+	for k := range bias {
+		bias[k] = 0.21 * float64(k)
+	}
+	if err := d.SetBias(bias); err != nil {
+		t.Fatal(err)
+	}
+	fm := NewFaultModel(1)
+	d.SetFaults(fm)
+	fm.StickElement(1, 2.5) // column 1
+	fm.StickElement(6, 0.5) // column 2
+	m := d.ControlMap()
+	for k, g := range m.Group {
+		switch k {
+		case 1, 6:
+			if g != -1 {
+				t.Errorf("stuck element %d drives line %d", k, g)
+			}
+		default:
+			if g != k%4 {
+				t.Errorf("element %d on line %d, want column %d", k, g, k%4)
+			}
+		}
+	}
+	if m.Offset[1] != 2.5 || m.Offset[6] != 0.5 || m.Offset[2] != bias[2] {
+		t.Errorf("offsets %v: want frozen phases at 1 and 6, bias elsewhere", m.Offset)
+	}
+	checkControlProject(t, d, 4)
 }

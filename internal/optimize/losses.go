@@ -96,6 +96,22 @@ func (o *CoverageObjective) Eval(phases [][]float64, wantGrad bool) (float64, []
 // the co-phased configuration is optimal.
 func (o *CoverageObjective) Solve() [][]float64 { return cophase(o.Channels) }
 
+// Reduce implements Reducer: every channel reduced to the control maps,
+// the link-budget constant kept.
+func (o *CoverageObjective) Reduce(maps []rfsim.ControlMap) Objective {
+	chans := reduceAll(o.Channels, maps)
+	return &CoverageObjective{Channels: chans, Budget: o.Budget, shape: chans[0].NumElements(), snrScale: o.snrScale}
+}
+
+// reduceAll reduces each channel to the control maps.
+func reduceAll(chans []*rfsim.Channel, maps []rfsim.ControlMap) []*rfsim.Channel {
+	out := make([]*rfsim.Channel, len(chans))
+	for i, ch := range chans {
+		out[i] = ch.Reduce(maps)
+	}
+	return out
+}
+
 // MeanSpectralEfficiency reports the average bits/s/Hz across the
 // objective's locations at the given phases (positive form of the loss).
 func (o *CoverageObjective) MeanSpectralEfficiency(phases [][]float64) float64 {
@@ -179,6 +195,13 @@ func cophase(chans []*rfsim.Channel) [][]float64 {
 // channel (see cophase), and nil otherwise.
 func (o *PowerObjective) Solve() [][]float64 { return cophase(o.Channels) }
 
+// Reduce implements Reducer: every channel reduced to the control maps,
+// the element-space scale kept.
+func (o *PowerObjective) Reduce(maps []rfsim.ControlMap) Objective {
+	chans := reduceAll(o.Channels, maps)
+	return &PowerObjective{Channels: chans, shape: chans[0].NumElements(), scale: o.scale}
+}
+
 // Shape implements Objective.
 func (o *PowerObjective) Shape() []int { return o.shape }
 
@@ -261,6 +284,16 @@ func NewSecurityObjective(user, eve *rfsim.Channel, userWeight float64, lb rfsim
 
 // Shape implements Objective.
 func (o *SecurityObjective) Shape() []int { return o.shape }
+
+// Reduce implements Reducer: both channels reduced to the control maps,
+// every scale kept.
+func (o *SecurityObjective) Reduce(maps []rfsim.ControlMap) Objective {
+	user := o.User.Reduce(maps)
+	return &SecurityObjective{
+		User: user, Eve: o.Eve.Reduce(maps), UserWeight: o.UserWeight, Budget: o.Budget,
+		shape: user.NumElements(), snrScale: o.snrScale, eveScale: o.eveScale,
+	}
+}
 
 // Eval implements Objective.
 func (o *SecurityObjective) Eval(phases [][]float64, wantGrad bool) (float64, [][]float64) {

@@ -6,14 +6,18 @@
 //
 // Objectives expose analytic gradients with respect to per-element phase
 // shifts, which Adam exploits; the derivative-free baseline (random search)
-// only uses Eval. A coverage or power objective over one cascade-free
-// channel also returns its exact optimum from Solve (co-phasing).
+// only uses Eval. Every service objective is also a Reducer: it rebuilds
+// itself over the hardware's control variables (one phase per column of a
+// column-wise panel), exactly. A coverage or power objective over one
+// cascade-free channel also returns its exact optimum from Solve
+// (co-phasing).
 package optimize
 
 import (
 	"fmt"
 
 	"surfos/internal/em"
+	"surfos/internal/rfsim"
 	"surfos/internal/surface"
 )
 
@@ -31,6 +35,16 @@ type Objective interface {
 	// element (same shape as phases). Implementations may return a nil
 	// gradient when wantGrad is false.
 	Eval(phases [][]float64, wantGrad bool) (float64, [][]float64)
+}
+
+// Reducer is an objective that can rebuild itself over the devices'
+// control variables, one rfsim.ControlMap per surface (see
+// rfsim.Channel.Reduce). The reduced objective's loss at control phases θ
+// equals this one's at rfsim.ExpandAll(maps, θ), normalization constants
+// included, so a plan searched over θ is judged as its expansion would be.
+// Reduce returns nil when the objective cannot be reduced.
+type Reducer interface {
+	Reduce(maps []rfsim.ControlMap) Objective
 }
 
 // Phasors converts phase values to unit phasors e^{jφ}, shaped like the
@@ -156,6 +170,22 @@ func NewWeightedSum(terms []Objective, weights []float64) (*WeightedSum, error) 
 
 // Shape implements Objective.
 func (w *WeightedSum) Shape() []int { return w.Terms[0].Shape() }
+
+// Reduce implements Reducer when every term does, with the same weights;
+// otherwise it returns nil.
+func (w *WeightedSum) Reduce(maps []rfsim.ControlMap) Objective {
+	terms := make([]Objective, len(w.Terms))
+	for i, t := range w.Terms {
+		r, ok := t.(Reducer)
+		if !ok {
+			return nil
+		}
+		if terms[i] = r.Reduce(maps); terms[i] == nil {
+			return nil
+		}
+	}
+	return &WeightedSum{Terms: terms, Weights: w.Weights}
+}
 
 // Eval implements Objective. Each term's gradient is accumulated into the
 // sum's reusable scratch immediately after the term evaluates, so terms may

@@ -13,6 +13,7 @@ import (
 	"surfos/internal/geom"
 	"surfos/internal/hwmgr"
 	"surfos/internal/optimize"
+	"surfos/internal/rfsim"
 	"surfos/internal/surface"
 	"surfos/internal/telemetry"
 )
@@ -441,27 +442,52 @@ func (o *Orchestrator) taskTerm(ctx context.Context, t *Task, g *group, spec eng
 }
 
 // optimizeConfigs computes the configuration for an objective over a device
-// set in the continuous element-wise space. An objective that knows its
-// exact optimum (Solve: one channel without cascade blocks — every link, a
-// one-point power goal) is solved in closed form; every other objective runs
-// Adam from zero phases. The result is projected onto the hardware
-// constraint set (granularity sharing, phase quantization) once at the end:
-// projecting every gradient step would snap small steps back to the
-// quantization grid and stall (the constraint set is discrete), while a
-// single final projection costs only the usual quantization loss.
+// set. An objective that can (optimize.Reducer) is rebuilt over the
+// devices' control maps, so the search runs in the hardware's control
+// space: one phase per column of a column-wise panel, around stuck elements
+// and on top of the fabricated bias. An objective that knows its exact
+// optimum (Solve: one channel without cascade blocks — every link, a
+// one-point power goal) is solved in closed form; every other objective
+// runs Adam from zero phases. The answer is expanded to element phases and
+// projected onto the hardware constraint set once at the end: the driver
+// stays the judge of what is realizable, and for a control-space answer
+// projection is quantization only. Projecting every gradient step would
+// snap small steps back to the quantization grid and stall (the constraint
+// set is discrete), while a single final projection costs only the usual
+// quantization loss. The returned loss is the element objective's.
 func (o *Orchestrator) optimizeConfigs(ctx context.Context, obj optimize.Objective, devs []*hwmgr.Device) optimize.Result {
 	start := time.Now()
+	work := obj
+	var maps []rfsim.ControlMap // nil: work is in element space
+	if r, ok := obj.(optimize.Reducer); ok {
+		cm := controlMaps(devs)
+		if red := r.Reduce(cm); red != nil {
+			work, maps = red, cm
+		}
+	}
 	var res optimize.Result
-	if s, ok := obj.(interface{ Solve() [][]float64 }); ok {
+	if s, ok := work.(interface{ Solve() [][]float64 }); ok {
 		res.Phases = s.Solve() // no evaluations
 	}
 	if res.Phases == nil {
-		res = optimize.Adam(ctx, obj, optimize.ZeroPhases(obj.Shape()), optimize.Options{MaxIters: o.Opts.OptIters})
+		res = optimize.Adam(ctx, work, optimize.ZeroPhases(work.Shape()), optimize.Options{MaxIters: o.Opts.OptIters})
 	}
 	o.observeOptimize(time.Since(start), res)
+	if maps != nil {
+		res.Phases = rfsim.ExpandAll(maps, res.Phases)
+	}
 	res.Phases = projectPhases(devs, res.Phases)
 	res.Loss, _ = obj.Eval(res.Phases, false)
 	return res
+}
+
+// controlMaps returns each device's control map, in device order.
+func controlMaps(devs []*hwmgr.Device) []rfsim.ControlMap {
+	maps := make([]rfsim.ControlMap, len(devs))
+	for i, d := range devs {
+		maps[i] = d.Drv.ControlMap()
+	}
+	return maps
 }
 
 // observeOptimize feeds one optimizer run into the observability surface:

@@ -231,63 +231,25 @@ func (ch *Channel) Freeze(s int, cfg surface.Config) (*Channel, error) {
 // remaining channel is exact over the healthy degrees of freedom and any
 // value later supplied for a pinned element is ignored (its gradient is
 // identically zero). Shapes are preserved: config slices keep their
-// indexing.
+// indexing. It is Reduce with every element its own control line.
 func (ch *Channel) Pin(s int, stuck map[int]float64) (*Channel, error) {
 	if s < 0 || s >= len(ch.Single) {
 		return nil, fmt.Errorf("rfsim: pin surface %d out of range", s)
 	}
-	xs := make(map[int]complex128, len(stuck))
+	maps := make([]ControlMap, len(ch.Single))
+	for i, coeffs := range ch.Single {
+		maps[i] = ElementMap(len(coeffs))
+	}
+	n := len(ch.Single[s])
+	offset := make([]float64, n)
 	for k, phi := range stuck {
-		if k < 0 || k >= len(ch.Single[s]) {
+		if k < 0 || k >= n {
 			return nil, fmt.Errorf("rfsim: pin element %d out of range", k)
 		}
-		xs[k] = cmplx.Rect(1, phi)
+		maps[s].Group[k], offset[k] = -1, phi
 	}
-
-	out := &Channel{Freq: ch.Freq, Direct: ch.Direct, Single: make([][]complex128, len(ch.Single))}
-	for i, coeffs := range ch.Single {
-		d := make([]complex128, len(coeffs))
-		copy(d, coeffs)
-		if i == s {
-			for k, x := range xs {
-				out.Direct += d[k] * x
-				d[k] = 0
-			}
-		}
-		out.Single[i] = d
-	}
-	for _, blk := range ch.Cross {
-		cp := CrossBlock{A: blk.A, B: blk.B, M: make([][]complex128, len(blk.M))}
-		for k, row := range blk.M {
-			r := make([]complex128, len(row))
-			copy(r, row)
-			cp.M[k] = r
-		}
-		switch {
-		case blk.A == s:
-			dst := out.Single[blk.B]
-			for k, x := range xs {
-				for m, c := range cp.M[k] {
-					if c != 0 {
-						dst[m] += c * x
-						cp.M[k][m] = 0
-					}
-				}
-			}
-		case blk.B == s:
-			dst := out.Single[blk.A]
-			for k, row := range cp.M {
-				for m, x := range xs {
-					if c := row[m]; c != 0 {
-						dst[k] += c * x
-						row[m] = 0
-					}
-				}
-			}
-		}
-		out.Cross = append(out.Cross, cp)
-	}
-	return out, nil
+	maps[s] = NewControlMap(n, maps[s].Group, offset)
+	return ch.Reduce(maps), nil
 }
 
 // NumElements returns the per-surface element counts of the decomposition.

@@ -256,18 +256,25 @@ func (m *Measurement) Observe(x [][]complex128, noiseAmp float64, rng *rand.Rand
 	return y
 }
 
-// signatureRow computes m_slot(b) = Σ_k SteerGeo[f][b][k]·apLeg[slot][k]·x_k
-// for every slot at one bin.
-func (e *Estimator) signatureRow(m *Measurement, b int, xs []complex128, out []complex128) {
-	nAnts := len(e.Ants)
+// signatureRow computes, for every slot at bin b,
+//
+//	m_slot(b) = Σ_k steer[slot/stride][b][k]·legs[slot][k]·x_k (+ fixed[slot][b])
+//
+// A measurement's dictionary is per subcarrier (stride = antenna count,
+// legs = the estimator's AP legs); a reduced one is per slot with the legs
+// folded in, plus its stuck elements' terms (fixed, nil when none).
+func signatureRow(steer [][][]complex128, stride int, legs, fixed [][]complex128, b int, xs, out []complex128) {
 	for slot := range out {
-		geo := m.SteerGeo[slot/nAnts][b]
-		leg := e.apLeg[slot]
+		geo := steer[slot/stride][b]
+		leg := legs[slot]
 		var acc complex128
 		for k, g := range geo {
 			if l := leg[k]; l != 0 {
 				acc += g * l * xs[k]
 			}
+		}
+		if fixed != nil {
+			acc += fixed[slot][b]
 		}
 		out[slot] = acc
 	}
@@ -293,7 +300,7 @@ func (e *Estimator) Spectrum(m *Measurement, y []complex128, x [][]complex128) [
 	mi := make([]complex128, nSlots)
 	out := make([]float64, len(e.Bins))
 	for b := range e.Bins {
-		e.signatureRow(m, b, xs, mi)
+		signatureRow(m.SteerGeo, len(e.Ants), e.apLeg, nil, b, xs, mi)
 		var rho complex128
 		var mPow float64
 		for i, v := range mi {

@@ -6,6 +6,8 @@ import (
 	"math/cmplx"
 
 	"surfos/internal/em"
+	"surfos/internal/optimize"
+	"surfos/internal/rfsim"
 )
 
 // LocalizationObjective is the sensing task loss from the paper's §4: "the
@@ -28,6 +30,22 @@ type LocalizationObjective struct {
 	Beta float64
 
 	shape []int
+	// The signature of slot i at bin b is Σ_k SteerGeo[i/stride][b][k]·
+	// legs[i][k]·x_k: over elements stride is the antenna count and legs
+	// the estimator's AP legs; Reduce folds the legs into per-slot rows
+	// (stride 1, legs all ones).
+	stride int
+	legs   [][]complex128
+	// stuck[i] is location i's stuck-element terms once reduced (nil: none).
+	stuck []*stuckTerms
+}
+
+// stuckTerms is what a reduced location's stuck elements add, at their
+// frozen phases, to each slot's surface-borne measurement (y) and to each
+// bin's signature (sig[slot][b]).
+type stuckTerms struct {
+	y   []complex128
+	sig [][]complex128
 }
 
 // NewLocalizationObjective validates and builds the objective.
@@ -63,7 +81,82 @@ func NewLocalizationObjective(est *Estimator, locs []*Measurement, beta float64)
 			}
 		}
 	}
-	return &LocalizationObjective{Est: est, Locations: locs, Beta: beta, shape: shape}, nil
+	return &LocalizationObjective{Est: est, Locations: locs, Beta: beta, shape: shape, stride: len(est.Ants), legs: est.apLeg}, nil
+}
+
+// Reduce implements optimize.Reducer: each location's per-slot
+// coefficients are reduced to the control maps (rfsim.ControlMap.Fold), and
+// so is its signature dictionary, with the AP legs folded into per-slot
+// rows, unless the sensing surface's map is the identity; stuck elements
+// become constant terms of the measurement and of every signature. The
+// reduced objective is for the optimizer: estimate localization error on
+// the element-space objective at the expanded phases.
+func (o *LocalizationObjective) Reduce(maps []rfsim.ControlMap) optimize.Objective {
+	if len(maps) != len(o.shape) {
+		return nil
+	}
+	sigma := o.Est.SurfIdx
+	nSlots := o.Est.NumSlots()
+	shape := make([]int, len(maps))
+	for s, m := range maps {
+		shape[s] = m.Groups
+	}
+	red := &LocalizationObjective{
+		Est: o.Est, Beta: o.Beta, shape: shape, stride: o.stride, legs: o.legs,
+		Locations: make([]*Measurement, len(o.Locations)),
+		stuck:     make([]*stuckTerms, len(o.Locations)),
+	}
+	// An identity map on the sensing surface keeps the dictionary factored:
+	// a per-slot one would be antennas-fold larger.
+	folded := !maps[sigma].Identity()
+	if folded {
+		ones := make([]complex128, shape[sigma])
+		for g := range ones {
+			ones[g] = 1
+		}
+		red.stride, red.legs = 1, make([][]complex128, nSlots)
+		for i := range red.legs {
+			red.legs[i] = ones
+		}
+	}
+	anyStuck := false
+	row := make([]complex128, o.shape[sigma])
+	for li, m := range o.Locations {
+		rm := *m
+		rm.Coef = make([][][]complex128, nSlots)
+		st := &stuckTerms{y: make([]complex128, nSlots)}
+		for i := 0; i < nSlots; i++ {
+			rm.Coef[i] = make([][]complex128, len(maps))
+			for s, coeffs := range m.Coef[i] {
+				var fixed complex128
+				rm.Coef[i][s], fixed = maps[s].Fold(coeffs)
+				st.y[i] += fixed
+			}
+			anyStuck = anyStuck || st.y[i] != 0
+		}
+		if folded {
+			rm.SteerGeo = make([][][]complex128, nSlots)
+			st.sig = make([][]complex128, nSlots)
+			for i := 0; i < nSlots; i++ {
+				leg := o.legs[i]
+				rm.SteerGeo[i] = make([][]complex128, len(o.Est.Bins))
+				st.sig[i] = make([]complex128, len(o.Est.Bins))
+				for b, geo := range m.SteerGeo[i/o.stride] {
+					for k, g := range geo {
+						row[k] = g * leg[k]
+					}
+					rm.SteerGeo[i][b], st.sig[i][b] = maps[sigma].Fold(row)
+					anyStuck = anyStuck || st.sig[i][b] != 0
+				}
+			}
+		}
+		red.Locations[li] = &rm
+		red.stuck[li] = st
+	}
+	if !anyStuck {
+		red.stuck = nil
+	}
+	return red
 }
 
 // Shape implements optimize.Objective.
@@ -82,19 +175,23 @@ func (o *LocalizationObjective) Eval(phases [][]float64, wantGrad bool) (float64
 		}
 	}
 	inv := 1 / float64(len(o.Locations))
-	for _, m := range o.Locations {
-		l := o.evalOne(m, x, grad, inv, wantGrad)
+	for i, m := range o.Locations {
+		var st *stuckTerms
+		if o.stuck != nil {
+			st = o.stuck[i]
+		}
+		l := o.evalOne(m, st, x, grad, inv, wantGrad)
 		loss += l * inv
 	}
 	return loss, grad
 }
 
 // evalOne computes one location's cross-entropy and accumulates scaled
-// gradients in place.
-func (o *LocalizationObjective) evalOne(m *Measurement, x [][]complex128, grad [][]float64, gscale float64, wantGrad bool) float64 {
+// gradients in place. st holds the location's stuck-element terms (nil:
+// none).
+func (o *LocalizationObjective) evalOne(m *Measurement, st *stuckTerms, x [][]complex128, grad [][]float64, gscale float64, wantGrad bool) float64 {
 	e := o.Est
 	nSlots := e.NumSlots()
-	nAnts := len(e.Ants)
 	nb := len(e.Bins)
 	sigma := e.SurfIdx
 	xs := x[sigma]
@@ -105,6 +202,13 @@ func (o *LocalizationObjective) evalOne(m *Measurement, x [][]complex128, grad [
 	y := m.Observe(x, 0, nil)
 	for i := range y {
 		y[i] -= m.Direct[i]
+	}
+	var sigFixed [][]complex128
+	if st != nil {
+		for i := range y {
+			y[i] += st.y[i]
+		}
+		sigFixed = st.sig
 	}
 	var yPow float64
 	for _, v := range y {
@@ -118,7 +222,7 @@ func (o *LocalizationObjective) evalOne(m *Measurement, x [][]complex128, grad [
 	spec := make([]float64, nb)
 	for b := 0; b < nb; b++ {
 		mi := make([]complex128, nSlots)
-		e.signatureRow(m, b, xs, mi)
+		signatureRow(m.SteerGeo, o.stride, o.legs, sigFixed, b, xs, mi)
 		for i := 0; i < nSlots; i++ {
 			rho[b] += y[i] * cmplx.Conj(mi[i])
 			mPow[b] += real(mi[i])*real(mi[i]) + imag(mi[i])*imag(mi[i])
@@ -184,8 +288,8 @@ func (o *LocalizationObjective) evalOne(m *Measurement, x [][]complex128, grad [
 					}
 				}
 			}
-			geo := m.SteerGeo[i/nAnts][b]
-			leg := e.apLeg[i]
+			geo := m.SteerGeo[i/o.stride][b]
+			leg := o.legs[i]
 			yi := y[i]
 			for k, g := range geo {
 				if l := leg[k]; l != 0 {

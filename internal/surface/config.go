@@ -101,10 +101,21 @@ func circularMean(phases []float64) float64 {
 //
 // The projection is idempotent: P(P(c)) == P(c).
 func (c Config) ProjectGranularity(g Granularity, l Layout) Config {
+	return c.ProjectGranularityExcept(g, l, nil)
+}
+
+// ProjectGranularityExcept is ProjectGranularity with the elements skip
+// reports left out of their shared line's mean: an element that ignores its
+// control line (a stuck actuator) has no say in the line's value. A line
+// whose every element is skipped takes 0. A nil skip leaves out nothing.
+func (c Config) ProjectGranularityExcept(g Granularity, l Layout, skip func(i int) bool) Config {
 	out := c.Clone()
 	mean := func(vals []float64) float64 {
 		if c.Property == Phase {
 			return circularMean(vals)
+		}
+		if len(vals) == 0 {
+			return 0
 		}
 		var s float64
 		for _, v := range vals {
@@ -112,25 +123,29 @@ func (c Config) ProjectGranularity(g Granularity, l Layout) Config {
 		}
 		return s / float64(len(vals))
 	}
+	// share sets the n elements at i0, i0+step, … to the mean of those not
+	// skipped.
+	buf := make([]float64, 0, max(l.Rows, l.Cols))
+	share := func(i0, step, n int) {
+		buf = buf[:0]
+		for j, i := 0, i0; j < n; j, i = j+1, i+step {
+			if skip == nil || !skip(i) {
+				buf = append(buf, c.Values[i])
+			}
+		}
+		m := mean(buf)
+		for j, i := 0, i0; j < n; j, i = j+1, i+step {
+			out.Values[i] = m
+		}
+	}
 	switch g {
 	case ColumnWise:
-		col := make([]float64, l.Rows)
-		for cI := 0; cI < l.Cols; cI++ {
-			for r := 0; r < l.Rows; r++ {
-				col[r] = c.Values[r*l.Cols+cI]
-			}
-			m := mean(col)
-			for r := 0; r < l.Rows; r++ {
-				out.Values[r*l.Cols+cI] = m
-			}
+		for col := 0; col < l.Cols; col++ {
+			share(col, l.Cols, l.Rows)
 		}
 	case RowWise:
 		for r := 0; r < l.Rows; r++ {
-			row := c.Values[r*l.Cols : (r+1)*l.Cols]
-			m := mean(row)
-			for cI := 0; cI < l.Cols; cI++ {
-				out.Values[r*l.Cols+cI] = m
-			}
+			share(r*l.Cols, 1, l.Cols)
 		}
 	}
 	return out

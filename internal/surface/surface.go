@@ -118,6 +118,30 @@ type Layout struct {
 // NumElements returns Rows*Cols.
 func (l Layout) NumElements() int { return l.Rows * l.Cols }
 
+// Lines returns how granularity g groups the layout's elements into control
+// lines: the number of lines n and, for each row-major element, its line.
+// Column-wise designs have one line per column, row-wise one per row;
+// element-wise and fixed designs give every element its own.
+func (l Layout) Lines(g Granularity) (n int, line []int) {
+	line = make([]int, l.NumElements())
+	switch g {
+	case ColumnWise:
+		for k := range line {
+			line[k] = k % l.Cols
+		}
+		return l.Cols, line
+	case RowWise:
+		for k := range line {
+			line[k] = k / l.Cols
+		}
+		return l.Rows, line
+	}
+	for k := range line {
+		line[k] = k
+	}
+	return len(line), line
+}
+
 // Validate checks the layout is physically meaningful.
 func (l Layout) Validate() error {
 	if l.Rows <= 0 || l.Cols <= 0 {
