@@ -59,20 +59,25 @@ test-faults:
 # record boundary — clean and torn — under the race detector. Any prefix
 # of the journal must recover to exactly the state its surviving records
 # describe, and a moved or re-queued task must recover as it last stood.
+# The group-commit tests run here too: a burst journaled in batches loses
+# nothing, batching leaves the WAL and snapshots byte-identical, a failed
+# batch fsync ships nothing, and Run writes the batch it drained before
+# it honours a cancel.
 test-crash:
-	$(GO) test -race -count=1 -run 'Crash|TruncatedTail|Corrupt|SequenceGap|Snapshot|Durable' ./internal/store ./internal/orchestrator
+	$(GO) test -race -count=1 -run 'Crash|TruncatedTail|Corrupt|SequenceGap|Snapshot|Durable|GroupCommit|BatchConsume|FailedSync|DrainedBatch' ./internal/store ./internal/orchestrator
 
 # test-failover exercises the replicated control plane under the race
 # detector at the fault seeds: the follower crash-replay boundary matrix,
 # epoch fencing, lease promotion, the surfctl failover rotation, and the
 # end-to-end failover chaos experiment (promotion within the lease, zero
-# live tasks lost, plans byte-identical to a primary reboot), and the
-# moved and re-queued task recovery tests.
+# live tasks lost, plans byte-identical to a primary reboot), the
+# follower's one-fsync-per-shipped-batch commit, and the moved and
+# re-queued task recovery tests.
 test-failover:
 	@for seed in $(FAULT_SEEDS); do \
 		echo "== failover suite, seed $$seed =="; \
 		SURFOS_FAULT_SEED=$$seed $(GO) test -race -count=1 \
-			-run 'Follower|Repl|StaleEpoch|Failover|FailsOver|Lease|Promot|Rotates|Standby|Durable' \
+			-run 'Follower|Repl|StaleEpoch|Failover|FailsOver|Lease|Promot|Rotates|Standby|Durable|ShippedBatch' \
 			./internal/store ./internal/ctrlproto ./internal/orchestrator ./internal/experiments ./cmd/... || exit 1; \
 	done
 

@@ -340,9 +340,10 @@ func TestDaemonSelfHealsDeadDevice(t *testing.T) {
 
 // TestDaemonMetricsExposition wires the full registry and checks the
 // Prometheus text output carries every subsystem's families: reconcile
-// latency, device health, bus fan-out accounting, and the daemon gauges.
+// latency, device health, bus fan-out accounting, journal progress and
+// group commits, and the daemon gauges.
 func TestDaemonMetricsExposition(t *testing.T) {
-	d := testDaemon(t)
+	d := stateDaemon(t, t.TempDir())
 	reg := metrics.NewRegistry()
 	d.registerMetrics(reg)
 	c := connect(t, d)
@@ -350,6 +351,8 @@ func TestDaemonMetricsExposition(t *testing.T) {
 	if reply := demand(t, c, "please stream a movie on the tv tonight"); !strings.Contains(reply, "running") {
 		t.Fatalf("demand: %q", reply)
 	}
+	// The demand's lifecycle events reach the journal through the bus.
+	waitFor(t, func() bool { return d.journalBacklog() == 0 && d.journal.Syncs() > 0 })
 
 	var b strings.Builder
 	if err := reg.WriteText(&b); err != nil {
@@ -364,6 +367,14 @@ func TestDaemonMetricsExposition(t *testing.T) {
 		"surfos_bus_subscribers",
 		"surfos_bus_subscriber_delivered_total{subscriber=\"selfheal\"",
 		"surfos_northbound_connections 1", // the session that sent the demand
+		"surfos_journal_seq ",
+		"surfos_journal_syncs_total ",
+		"surfos_journal_since_snapshot ",
+		"surfos_journal_failed 0",
+		"surfos_journal_epoch ",
+		"surfos_journal_lag ",
+		"surfos_wal_size_bytes ",
+		"surfos_snapshot_age_seconds ",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics output missing %q", want)
@@ -371,6 +382,12 @@ func TestDaemonMetricsExposition(t *testing.T) {
 	}
 	if strings.Contains(text, "surfos_reconcile_duration_seconds_count 0") {
 		t.Error("reconcile histogram saw no observations after a demand")
+	}
+	if strings.Contains(text, "surfos_journal_syncs_total 0\n") || strings.Contains(text, "surfos_journal_seq 0\n") {
+		t.Error("journal families report no records after a demand")
+	}
+	if syncs, seq := d.journal.Syncs(), d.journal.Seq(); syncs > seq {
+		t.Errorf("%d journal syncs for %d records: more than one per record", syncs, seq)
 	}
 }
 

@@ -22,7 +22,7 @@ func FuzzWAL(f *testing.F) {
 		DeviceRecord{DeviceID: "east", State: "device_dead", Err: "heartbeat lost"},
 		EpochRecord{Epoch: 2, Holder: "primary", TTLNanos: 3e9},
 	} {
-		rec, err := s.AppendFull(p.kind(), p)
+		rec, err := s.stage(p.kind(), p)
 		if err != nil {
 			f.Fatal(err)
 		}

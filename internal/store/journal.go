@@ -19,6 +19,13 @@ const DefaultSnapshotEvery = 256
 // fold replay uses, so the state is current and a snapshot can be cut at
 // any moment. All methods are safe for concurrent use.
 //
+// Writes are group-committed. Run hands Consume every event queued when
+// it wakes, and a follower replays a shipped batch; either way the
+// journal writes the batch's records, folds each before mapping the next
+// event, and fsyncs once. Only then does it hand the records to the
+// replication observers, so nothing unsynced is ever acknowledged or
+// shipped.
+//
 // The journal consumes the same drop-on-full telemetry bus every other
 // subscriber uses. Durability therefore depends on the subscription
 // buffer outrunning reconcile bursts — subscribe with JournalBuffer,
@@ -41,10 +48,13 @@ type Journal struct {
 	// streams, not only in the health command.
 	bus      *telemetry.EventBus
 	busFired bool
-	// obs are replication observers: each appended record is handed to
-	// every observer under j.mu, in append order, before Consume returns.
+	// obs are replication observers: each record is handed to every
+	// observer under j.mu, in append order, once its batch is synced and
+	// before Consume returns.
 	obs     map[int]func(Record)
 	obsNext int
+	// syncs counts the group commits: fsyncs that made records durable.
+	syncs uint64
 }
 
 // JournalBuffer is the recommended bus subscription buffer for a journal
@@ -128,25 +138,57 @@ func (j *Journal) SinceSnapshot() int {
 	return j.sinceSnap
 }
 
-// Consume journals one task/device lifecycle event as exactly one WAL
-// record, or none when the event carries nothing durable.
-func (j *Journal) Consume(ev telemetry.TaskEvent) error {
+// Syncs reports how many group commits have made records durable; the
+// sequence over it is the records written per fsync.
+func (j *Journal) Syncs() uint64 {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.syncs
+}
+
+// Consume journals a batch of task/device lifecycle events, each as
+// exactly one WAL record or none when it carries nothing durable, and
+// makes them durable with one fsync. A batch that crosses the snapshot
+// cadence is committed up to the crossing record, snapshotted, and
+// continued, so snapshots fall on the same sequence numbers whatever the
+// batching. A write error is sticky and fails the rest of the batch.
+func (j *Journal) Consume(evs ...telemetry.TaskEvent) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.err != nil {
 		return j.err
 	}
-	p := j.recordFor(ev)
-	if p == nil {
-		return nil
-	}
-	if err := j.appendLocked(p); err != nil {
+	if err := j.consumeLocked(evs); err != nil {
+		j.failLocked(err)
 		return err
 	}
-	if j.snapshotEvery > 0 && j.sinceSnap >= j.snapshotEvery {
-		return j.snapshotLocked()
-	}
 	return nil
+}
+
+// consumeLocked is Consume's body. Caller holds j.mu.
+func (j *Journal) consumeLocked(evs []telemetry.TaskEvent) error {
+	var batch []Record
+	for _, ev := range evs {
+		p := j.recordFor(ev)
+		if p == nil {
+			continue
+		}
+		rec, err := j.writeLocked(p)
+		if err != nil {
+			return err
+		}
+		batch = append(batch, rec)
+		if j.snapshotEvery > 0 && j.sinceSnap >= j.snapshotEvery {
+			if err := j.commitLocked(batch); err != nil {
+				return err
+			}
+			batch = batch[:0]
+			if err := j.compactLocked(); err != nil {
+				return err
+			}
+		}
+	}
+	return j.commitLocked(batch)
 }
 
 // recordFor maps an event to its record: device transitions to a device
@@ -173,51 +215,76 @@ func (j *Journal) recordFor(ev telemetry.TaskEvent) payload {
 	return TaskStateRecord{TaskID: ev.TaskID, State: ev.State, UnixNanos: ev.Time.UnixNano()}
 }
 
-// appendLocked writes one record and commits it; a write error is sticky.
-// Caller holds j.mu.
-func (j *Journal) appendLocked(p payload) error {
-	rec, err := j.st.AppendFull(p.kind(), p)
+// writeLocked writes one record to the WAL's buffer and folds it into the
+// state (see foldLocked); commitLocked makes it durable. Caller holds j.mu.
+func (j *Journal) writeLocked(p payload) (Record, error) {
+	rec, err := j.st.stage(p.kind(), p)
 	if err != nil {
-		j.failLocked(err)
+		return Record{}, err
+	}
+	j.foldLocked(p)
+	return rec, nil
+}
+
+// foldLocked folds a record written to the WAL into the state and counts
+// it toward compaction. It runs before the next record is mapped, which
+// may read the state the fold produced. Caller holds j.mu.
+func (j *Journal) foldLocked(p payload) {
+	j.state.fold(p)
+	j.sinceSnap++
+}
+
+// commitLocked makes the written records durable with one fsync, then
+// hands each to every replication observer, in order. An empty batch
+// costs nothing. Caller holds j.mu.
+func (j *Journal) commitLocked(batch []Record) error {
+	if len(batch) == 0 {
+		return nil
+	}
+	if err := j.st.Sync(); err != nil {
 		return err
 	}
-	j.commitLocked(rec, p)
+	j.syncs++
+	for _, rec := range batch {
+		for _, obs := range j.obs {
+			obs(rec)
+		}
+	}
 	return nil
 }
 
-// commitLocked folds a record that reached the WAL into the state, counts
-// it toward compaction and hands it to every replication observer.
-// Caller holds j.mu.
-func (j *Journal) commitLocked(rec Record, p payload) {
-	j.state.fold(p)
-	j.sinceSnap++
-	for _, obs := range j.obs {
-		obs(rec)
-	}
-}
-
-// replay writes records a primary shipped verbatim and commits them — the
-// follower side of WAL shipping, which keeps the follower's WAL a byte
-// prefix of the primary's. Records at or below the journal's sequence are
-// re-sends and are skipped; a gap is ErrSeqGap and a damaged record
-// ErrCorrupt. No error here is sticky: a gap or a damaged record tells
-// the shipper to resync from a snapshot, and a replica that failed to
-// compact must stay promotable.
+// replay writes records a primary shipped verbatim and commits them with
+// one fsync — the follower side of WAL shipping, which keeps the
+// follower's WAL a byte prefix of the primary's. Records at or below the
+// journal's sequence are re-sends and are skipped; a gap is ErrSeqGap and
+// a damaged record ErrCorrupt, and the records before it are still
+// committed, so the sequence the follower acks is on disk. No error here
+// is sticky: a gap or a damaged record tells the shipper to resync from a
+// snapshot, and a replica that failed to compact must stay promotable.
 func (j *Journal) replay(recs []Record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	var batch []Record
+	var err error
 	for _, rec := range recs {
 		if rec.Seq <= j.st.Seq() {
 			continue
 		}
-		p, err := decodeRecord(rec)
-		if err != nil {
-			return err
+		var p payload
+		if p, err = decodeRecord(rec); err != nil {
+			break
 		}
-		if err := j.st.AppendRecord(rec); err != nil {
-			return err
+		if err = j.st.AppendRecord(rec); err != nil {
+			break
 		}
-		j.commitLocked(rec, p)
+		j.foldLocked(p)
+		batch = append(batch, rec)
+	}
+	if cerr := j.commitLocked(batch); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
 	}
 	if j.snapshotEvery > 0 && j.sinceSnap >= j.snapshotEvery {
 		return j.compactLocked()
@@ -259,12 +326,17 @@ func (j *Journal) failLocked(err error) {
 }
 
 // Run consumes a bus subscription until ctx is cancelled or the channel
-// closes. Run it in its own goroutine; errors are sticky and visible via
+// closes. Each time it wakes it takes one event plus every event already
+// queued behind it and consumes them as one batch — one fsync however
+// deep the backlog. Cancellation is checked only between batches, so
+// every event Run has taken off the channel is journaled before it
+// returns. Run it in its own goroutine; errors are sticky and visible via
 // Err, and the first one is announced through SetLogf's logger so the
 // operator learns of durability loss while the daemon is still running,
 // not at the final shutdown snapshot.
 func (j *Journal) Run(ctx context.Context, ch <-chan telemetry.TaskEvent) {
 	reported := false
+	var batch []telemetry.TaskEvent
 	for {
 		select {
 		case <-ctx.Done():
@@ -273,7 +345,14 @@ func (j *Journal) Run(ctx context.Context, ch <-chan telemetry.TaskEvent) {
 			if !ok {
 				return
 			}
-			if err := j.Consume(ev); err != nil && !reported {
+			// Run is the channel's only reader, so the len(ch) events
+			// queued now are there to take without blocking (a closed
+			// channel still yields its buffered events).
+			batch = append(batch[:0], ev)
+			for n := len(ch); n > 0; n-- {
+				batch = append(batch, <-ch)
+			}
+			if err := j.Consume(batch...); err != nil && !reported {
 				reported = true
 				j.mu.Lock()
 				logf := j.logf
@@ -330,7 +409,12 @@ func (j *Journal) lead(floor uint64, holder string, ttl time.Duration) (uint64, 
 		return 0, j.err
 	}
 	p := EpochRecord{Epoch: max(j.state.Epoch, floor) + 1, Holder: holder, TTLNanos: ttl.Nanoseconds()}
-	if err := j.appendLocked(p); err != nil {
+	rec, err := j.writeLocked(p)
+	if err == nil {
+		err = j.commitLocked([]Record{rec})
+	}
+	if err != nil {
+		j.failLocked(err)
 		return 0, err
 	}
 	return p.Epoch, nil

@@ -87,15 +87,25 @@ func checksum(seq uint64, kind string, data []byte) uint32 {
 	return h.Sum32()
 }
 
+// syncFile fsyncs a file. Every fsync the store makes goes through it, so
+// tests can slow it down, count it or make it fail.
+var syncFile = (*os.File).Sync
+
 // Store is an open state directory: the append handle on the WAL plus the
 // recovery bookkeeping. Methods are not safe for concurrent use; the
 // Journal serializes all writers.
+//
+// Writes are group-committed: a record written with stage or AppendRecord
+// sits in the write buffer until Sync flushes and fsyncs it together with
+// every record written before it. A record is acknowledged — reported
+// durable, shipped to a replica — only after the Sync that covers it
+// returns. Append is the one-record form that syncs before returning.
 type Store struct {
 	dir      string
 	f        *os.File
 	w        *bufio.Writer
 	seq      uint64    // last sequence number written or recovered
-	walBytes int64     // bytes of good WAL records on disk
+	walBytes int64     // bytes of WAL records written since the last compaction
 	snapTime time.Time // when the current snapshot was written (zero: none)
 }
 
@@ -160,17 +170,24 @@ func (s *Store) Seq() uint64 { return s.seq }
 
 // Append marshals data and writes one WAL record, flushing to the OS and
 // fsyncing before returning its sequence number: a record handed to
-// Append survives a machine crash. The control plane journals tens of
-// records per reconcile, not thousands per second.
+// Append survives a machine crash. It pays one fsync per record; the
+// journal writes with stage and pays one Sync per batch instead.
 func (s *Store) Append(kind string, data any) (uint64, error) {
-	rec, err := s.AppendFull(kind, data)
-	return rec.Seq, err
+	rec, err := s.stage(kind, data)
+	if err != nil {
+		return 0, err
+	}
+	if err := s.Sync(); err != nil {
+		return 0, err
+	}
+	return rec.Seq, nil
 }
 
-// AppendFull is Append returning the complete record — sequence, CRC and
-// marshaled payload — for callers that forward it verbatim, such as the
-// replication shipper.
-func (s *Store) AppendFull(kind string, data any) (Record, error) {
+// stage marshals data into the next WAL record and writes it to the
+// buffer, returning the complete record — sequence, CRC and marshaled
+// payload — for callers that forward it verbatim, such as the replication
+// shipper. The record is durable only after the next Sync.
+func (s *Store) stage(kind string, data any) (Record, error) {
 	if s.f == nil {
 		return Record{}, errors.New("store: closed")
 	}
@@ -192,6 +209,8 @@ func (s *Store) AppendFull(kind string, data any) (Record, error) {
 // re-send after reconnect) is skipped without error, a gap is ErrSeqGap.
 // Writing verbatim keeps the follower's WAL byte-identical to the
 // primary's, so recovery and promotion replay the exact same records.
+// Like stage, it only buffers the record: the caller Syncs once per
+// shipped batch before acknowledging it.
 func (s *Store) AppendRecord(rec Record) error {
 	if s.f == nil {
 		return errors.New("store: closed")
@@ -208,8 +227,9 @@ func (s *Store) AppendRecord(rec Record) error {
 	return s.writeLine(rec)
 }
 
-// writeLine marshals and appends one record line, advancing seq and the
-// size accounting. The record must already carry seq s.seq+1 and its CRC.
+// writeLine marshals one record line into the write buffer, advancing seq
+// and the size accounting. The record must already carry seq s.seq+1 and
+// its CRC.
 func (s *Store) writeLine(rec Record) error {
 	line, err := json.Marshal(rec)
 	if err != nil {
@@ -221,27 +241,22 @@ func (s *Store) writeLine(rec Record) error {
 	if err := s.w.WriteByte('\n'); err != nil {
 		return err
 	}
-	if err := s.w.Flush(); err != nil {
-		return err
-	}
-	if err := s.f.Sync(); err != nil {
-		return err
-	}
 	s.seq = rec.Seq
 	s.walBytes += int64(len(line)) + 1
 	return nil
 }
 
-// WALSize reports the bytes of acknowledged WAL records on disk — the
-// growth since the last compaction, one input to snapshot cadence and
-// promotion-readiness decisions.
+// WALSize reports the bytes of WAL records written since the last
+// compaction, all on disk once Sync returns — the growth, one input to
+// snapshot cadence and promotion-readiness decisions.
 func (s *Store) WALSize() int64 { return s.walBytes }
 
 // SnapshotTime reports when the current snapshot was written (recovered
 // from the file's mtime after a restart); zero means no snapshot exists.
 func (s *Store) SnapshotTime() time.Time { return s.snapTime }
 
-// Sync flushes buffered records and fsyncs the WAL.
+// Sync flushes buffered records and fsyncs the WAL: the group commit that
+// makes every record written so far durable.
 func (s *Store) Sync() error {
 	if s.f == nil {
 		return nil
@@ -249,7 +264,7 @@ func (s *Store) Sync() error {
 	if err := s.w.Flush(); err != nil {
 		return err
 	}
-	return s.f.Sync()
+	return syncFile(s.f)
 }
 
 // Close flushes, fsyncs, and releases the WAL handle.
@@ -299,7 +314,7 @@ func (s *Store) writeSnapshot(data []byte, seq uint64) error {
 		f.Close()
 		return err
 	}
-	if err := f.Sync(); err != nil {
+	if err := syncFile(f); err != nil {
 		f.Close()
 		return err
 	}
@@ -322,7 +337,7 @@ func (s *Store) writeSnapshot(data []byte, seq uint64) error {
 		return err
 	}
 	s.w.Reset(s.f)
-	if err := s.f.Sync(); err != nil {
+	if err := syncFile(s.f); err != nil {
 		return err
 	}
 	// The snapshot is now authoritative: the WAL is empty and the chain
@@ -371,7 +386,7 @@ func syncDir(dir string) error {
 	if err != nil {
 		return err
 	}
-	err = d.Sync()
+	err = syncFile(d)
 	if cerr := d.Close(); err == nil {
 		err = cerr
 	}
@@ -406,13 +421,13 @@ func readSnapshot(path string) (*State, uint64, error) {
 // readWAL scans the WAL, returning the records with sequence > afterSeq,
 // the last good sequence number, and the byte length of the good prefix.
 // Any unterminated final line is treated as a crash-truncated tail and
-// excluded — even one that parses and checksums. Append acknowledges a
-// record only after its trailing newline reaches the file, so a missing
+// excluded — even one that parses and checksums. A record is acknowledged
+// only after the Sync that covers its trailing newline, so a missing
 // newline means the record was never reported durable, and accepting it
-// would leave the file mid-line: the next Append would glue a second
-// record onto the same line and poison the *following* recovery. Any
-// damage on a newline-terminated line is ErrCorrupt, tagged with the
-// offending sequence number where one could be read.
+// would leave the file mid-line: the next record would be glued onto the
+// same line and poison the *following* recovery. Any damage on a
+// newline-terminated line is ErrCorrupt, tagged with the offending
+// sequence number where one could be read.
 //
 // The WAL may legitimately begin before afterSeq: a crash between the
 // snapshot rename and the WAL truncate leaves records the snapshot
