@@ -727,6 +727,9 @@ func BenchmarkReconcile(b *testing.B) {
 	for _, n := range []int{64, 256} {
 		b.Run(fmt.Sprintf("rooms=4/tasks=%d/sharded", n), func(b *testing.B) { benchmarkReconcileRooms(b, 4, n) })
 	}
+	// The loop benchmark's dominant op: one of a room's 16 residents moves
+	// and its room is re-planned.
+	b.Run("rooms=4/move", benchmarkMoveRooms)
 }
 
 // benchmarkReconcileRooms prices one scheduler pass over n link tasks
@@ -736,6 +739,46 @@ func BenchmarkReconcile(b *testing.B) {
 // panels, making per-task cost independent of how many rooms the building
 // has.
 func benchmarkReconcileRooms(b *testing.B, rooms, n int) {
+	orch, _ := roomsRig(b, rooms, n)
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := orch.Reconcile(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchmarkMoveRooms prices a move: 64 link tasks over the 4-room strip,
+// and each iteration steps one of room 0's 16 residents 30 cm (staying in
+// the room, so no handoff) and re-plans its room with ReconcileTask.
+func benchmarkMoveRooms(b *testing.B) {
+	orch, tasks := roomsRig(b, 4, 64)
+	ctx := context.Background()
+	id := tasks[0].ID
+	home := surfos.V(1.2, 1.4, 1.2) // roomsRig's first position
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pos := home
+		if i%2 == 0 {
+			pos = pos.Add(surfos.V(0.3, 0, 0))
+		}
+		res, err := orch.MoveTask(id, pos)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.HandedOff {
+			b.Fatal("the move left the room")
+		}
+		if err := orch.ReconcileTask(ctx, id); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// roomsRig builds the rooms-room strip, submits n link tasks spread evenly
+// across it and runs the first reconcile, which fills the trace caches.
+func roomsRig(b *testing.B, rooms, n int) (*surfos.Orchestrator, []*surfos.Task) {
 	strip := scene.NewRoomStrip(rooms)
 	hw := surfos.NewHardware()
 	for i := 0; i < rooms; i++ {
@@ -758,13 +801,14 @@ func benchmarkReconcileRooms(b *testing.B, rooms, n int) {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
-	for i := 0; i < n; i++ {
+	tasks := make([]*surfos.Task, n)
+	for i := range tasks {
 		room := i % rooms
 		pos := surfos.V(
 			scene.RoomW*float64(room)+1.2+0.5*float64((i/rooms)%6),
 			1.4+0.4*float64((i/(rooms*6))%6),
 			1.2)
-		if _, err := orch.EnhanceLink(ctx, surfos.LinkGoal{Endpoint: fmt.Sprintf("ep%d", i), Pos: pos}, 1+i%3); err != nil {
+		if tasks[i], err = orch.EnhanceLink(ctx, surfos.LinkGoal{Endpoint: fmt.Sprintf("ep%d", i), Pos: pos}, 1+i%3); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -779,10 +823,5 @@ func benchmarkReconcileRooms(b *testing.B, rooms, n int) {
 	}
 	b.ReportMetric(float64(running), "running-tasks")
 	b.ReportMetric(float64(len(orch.ShardStats())), "shards")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := orch.Reconcile(ctx); err != nil {
-			b.Fatal(err)
-		}
-	}
+	return orch, tasks
 }

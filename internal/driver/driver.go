@@ -12,7 +12,8 @@
 // request onto what the hardware can realize, mirroring how the paper's
 // unified configuration interface treats passive and programmable surfaces
 // alike. Its ControlMap names the free variables behind those arrays, so
-// planners can search the hardware's control space directly.
+// planners can search the hardware's control space directly, and Realize
+// turns a control-space answer into the configuration the panel realizes.
 package driver
 
 import (
@@ -330,6 +331,86 @@ func (d *Driver) Project(cfg surface.Config) surface.Config {
 	return pin(out, stuck)
 }
 
+// lineValue is the phase Project gives an unbiased control line whose n
+// driven elements all hold w: their shared value on a column- or row-wise
+// design (SharedPhase, the projection's circular mean), quantized.
+func (d *Driver) lineValue(w float64, n int) float64 {
+	if g := d.spec.Granularity; g == surface.ColumnWise || g == surface.RowWise {
+		w = surface.SharedPhase(w, n)
+	}
+	return surface.QuantizePhase(w, d.spec.PhaseBits)
+}
+
+// Realize returns the phase configuration the panel realizes for the
+// control-line phases theta (one per line of ControlMap):
+// Project(Expand(θ)) bit for bit. On an unbiased panel it is computed per
+// line instead of per element — lineValue repeats the projection's
+// arithmetic for a line whose driven elements all hold θ[g] — and stuck
+// elements realize their frozen phase. A biased panel is projected.
+func (d *Driver) Realize(theta []float64) surface.Config {
+	d.mu.Lock()
+	biased := d.bias != nil
+	d.mu.Unlock()
+	if biased {
+		return d.Project(surface.Config{Property: surface.Phase, Values: d.ControlMap().Expand(theta)})
+	}
+	stuck := d.stuckMask()
+	driven := make([]int, d.nLines)
+	for k, g := range d.lines {
+		if _, ok := stuck[k]; !ok {
+			driven[g]++
+		}
+	}
+	line := make([]float64, d.nLines)
+	for g, w := range theta[:d.nLines] {
+		if len(stuck) > 0 {
+			w += 0 // Expand adds a driven element's zero offset: −0 reaches Project as +0
+		}
+		line[g] = d.lineValue(w, driven[g])
+	}
+	vals := make([]float64, len(d.lines))
+	for k, g := range d.lines {
+		vals[k] = line[g]
+	}
+	return pin(surface.Config{Property: surface.Phase, Values: vals}, stuck)
+}
+
+// realized reports whether a codebook entry is already a fixed point of
+// Project, so that storing it as is stores Project(cfg) bit for bit. It is
+// when each control line's driven elements hold one phase q of the
+// quantization grid and each stuck element its frozen phase: the line's
+// shared value is then within rounding of q, far inside half a step, and
+// quantizes back to q. The check is exact and does no trigonometry.
+// Continuous designs, other properties, biased panels and negative zeros
+// report false and are projected.
+func (d *Driver) realized(cfg surface.Config, biased bool, stuck map[int]float64) bool {
+	if cfg.Property != surface.Phase || d.spec.PhaseBits <= 0 || biased {
+		return false
+	}
+	for k, v := range stuck {
+		if k >= 0 && k < len(cfg.Values) && math.Float64bits(cfg.Values[k]) != math.Float64bits(v) {
+			return false
+		}
+	}
+	line := make([]float64, d.nLines) // NaN: no driven element seen yet
+	for g := range line {
+		line[g] = math.NaN()
+	}
+	for k, g := range d.lines {
+		if _, ok := stuck[k]; ok {
+			continue
+		}
+		v := cfg.Values[k]
+		if math.IsNaN(line[g]) {
+			line[g] = surface.QuantizePhase(v, d.spec.PhaseBits)
+		}
+		if math.Signbit(v) || math.Float64bits(v) != math.Float64bits(line[g]) {
+			return false
+		}
+	}
+	return true
+}
+
 // ShiftPhase programs a phase configuration — the unified primitive the
 // paper names shift_phase(). The config is validated, projected onto the
 // hardware's granularity and quantization, stored as the device's single
@@ -381,7 +462,9 @@ func (d *Driver) apply(cfg surface.Config) error {
 // configurations (the paper's control/data decoupling: the control plane
 // pushes codebooks; the device picks entries in real time from endpoint
 // feedback). Entry 0 becomes active. Passive surfaces accept exactly one
-// entry, once.
+// entry, once. Each entry is stored as Project leaves it; an entry that is
+// already realizable (Realize's output, say) is stored without projecting
+// it again.
 func (d *Driver) StoreCodebook(labels []string, cfgs []surface.Config) error {
 	if err := d.gate(); err != nil {
 		return err
@@ -392,6 +475,10 @@ func (d *Driver) StoreCodebook(labels []string, cfgs []surface.Config) error {
 	if d.spec.CodebookSlots > 0 && len(cfgs) > d.spec.CodebookSlots {
 		return fmt.Errorf("%w: %d entries for %d slots", ErrCodebookFull, len(cfgs), d.spec.CodebookSlots)
 	}
+	d.mu.Lock()
+	biased := d.bias != nil
+	d.mu.Unlock()
+	stuck := d.stuckMask()
 	projected := make([]surface.Config, len(cfgs))
 	for i, cfg := range cfgs {
 		if cfg.Property != d.spec.Control {
@@ -401,7 +488,10 @@ func (d *Driver) StoreCodebook(labels []string, cfgs []surface.Config) error {
 		if err := cfg.Validate(d.surf.Layout); err != nil {
 			return fmt.Errorf("driver: codebook entry %d: %w", i, err)
 		}
-		projected[i] = d.Project(cfg)
+		projected[i] = cfg
+		if !d.realized(cfg, biased, stuck) {
+			projected[i] = d.Project(cfg)
+		}
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()

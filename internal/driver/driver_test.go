@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"surfos/internal/geom"
@@ -371,8 +372,24 @@ func TestBiasAfterFabricationRejected(t *testing.T) {
 	}
 }
 
-// checkControlProject checks a driver's ControlMap against its Project: Project(Expand(θ)) must be Expand of θ quantized, so a plan
-// made over the map's lines loses only quantization to the projection.
+// sameBits reports whether two configurations hold the same float64 bits.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k := range a {
+		if math.Float64bits(a[k]) != math.Float64bits(b[k]) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkControlProject checks a driver's Realize against Project over its
+// ControlMap, bit for bit: Realize(θ) is Project(Expand(θ)), also for θ on
+// a half-step tie and at ±0. On a quantized panel it is also a fixed point
+// of Project, which is what lets StoreCodebook store it without projecting
+// it again.
 func checkControlProject(t *testing.T, d *Driver, wantGroups int) {
 	t.Helper()
 	m := d.ControlMap()
@@ -380,18 +397,29 @@ func checkControlProject(t *testing.T, d *Driver, wantGroups int) {
 		t.Fatalf("control map has %d lines over %d elements, want %d over %d",
 			m.Groups, len(m.Group), wantGroups, d.Surface().NumElements())
 	}
+	bits := d.Spec().PhaseBits
 	r := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 20; trial++ {
+	for trial := 0; trial < 200; trial++ {
 		theta := make([]float64, m.Groups)
 		for g := range theta {
 			theta[g] = r.Float64()*4*math.Pi - math.Pi
+			if bits > 0 && trial%2 == 1 {
+				// Half-step ties, where a circular mean that is off by
+				// one ulp rounds the other way.
+				theta[g] = (float64(r.Intn(1<<bits)) + 0.5) * 2 * math.Pi / float64(int(1)<<bits)
+			}
 		}
-		got := d.Project(surface.Config{Property: surface.Phase, Values: m.Expand(theta)})
-		q := surface.Config{Property: surface.Phase, Values: theta}.Quantize(d.Spec().PhaseBits)
-		want := m.Expand(q.Values)
-		for k := range want {
-			if d := math.Remainder(got.Values[k]-want[k], 2*math.Pi); math.Abs(d) > 1e-9 {
-				t.Fatalf("element %d: Project(Expand(θ)) = %v, Expand(quantized θ) = %v", k, got.Values[k], want[k])
+		if trial%4 == 3 {
+			theta[0] = math.Copysign(0, -1)
+		}
+		got := d.Realize(theta)
+		want := d.Project(surface.Config{Property: surface.Phase, Values: m.Expand(theta)})
+		if !sameBits(got.Values, want.Values) {
+			t.Fatalf("θ=%v: Realize = %v, Project(Expand(θ)) = %v", theta, got.Values, want.Values)
+		}
+		if bits > 0 {
+			if again := d.Project(got); !sameBits(again.Values, got.Values) {
+				t.Fatalf("θ=%v: Project(Realize(θ)) = %v, not Realize(θ) = %v", theta, again.Values, got.Values)
 			}
 		}
 	}
@@ -466,4 +494,188 @@ func TestControlMapStuckElements(t *testing.T) {
 		t.Errorf("offsets %v: want frozen phases at 1 and 6, bias elsewhere", m.Offset)
 	}
 	checkControlProject(t, d, 4)
+
+	// Unbiased, with stuck elements, on a column- and an element-wise panel.
+	for _, tc := range []struct {
+		model  string
+		groups int
+	}{{ModelNRSurface, 4}, {ModelScatterMIMO, 12}} {
+		spec := mustSpec(t, tc.model)
+		d, err := New(spec, testSurface(t, spec.OpMode, 3, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fm := NewFaultModel(1)
+		d.SetFaults(fm)
+		fm.StickElement(1, 2.5)
+		fm.StickElement(6, 0.5)
+		checkControlProject(t, d, tc.groups)
+	}
+}
+
+// checkStoreCodebook stores random element configs and Realize outputs on
+// every catalog model, optionally biased and with stuck elements, and
+// checks that the stored entry is Project(cfg) bit for bit. A Realize
+// output on an unbiased quantized phase panel must take the fast path
+// (stored as is), and on a biased one be projected; the same output made
+// non-realizable — one line off the grid, or one
+// element of a shared line off its line's value — must not.
+func checkStoreCodebook(t *testing.T, biased, stuck bool) {
+	for _, spec := range Catalog() {
+		t.Run(spec.Model, func(t *testing.T) {
+			if biased && spec.Control != surface.Phase {
+				t.Skip("bias applies to phase designs")
+			}
+			const rows, cols = 4, 6
+			r := rand.New(rand.NewSource(faultSeed(1)))
+			var bias []float64
+			if biased {
+				bias = make([]float64, rows*cols)
+				for k := range bias {
+					bias[k] = r.Float64()*4*math.Pi - 2*math.Pi
+				}
+			}
+			frozen := map[int]float64{}
+			if stuck {
+				for len(frozen) < 3 {
+					frozen[r.Intn(rows*cols)] = r.Float64() * 2 * math.Pi
+				}
+			}
+			mk := func() *Driver {
+				d, err := New(spec, testSurface(t, spec.OpMode, rows, cols))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if bias != nil {
+					if err := d.SetBias(bias); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if stuck {
+					fm := NewFaultModel(faultSeed(1))
+					for k, v := range frozen {
+						fm.StickElement(k, v)
+					}
+					d.SetFaults(fm)
+				}
+				return d
+			}
+			probe := mk()
+			// store writes cfg to a fresh driver (a passive one takes one
+			// write) and reports whether it took the fast path.
+			store := func(cfg surface.Config) bool {
+				t.Helper()
+				d := mk()
+				fast := d.realized(cfg, bias != nil, d.stuckMask())
+				if err := d.StoreCodebook([]string{"e"}, []surface.Config{cfg}); err != nil {
+					t.Fatal(err)
+				}
+				got, _, _ := d.Active()
+				if want := d.Project(cfg); !sameBits(got.Values, want.Values) {
+					t.Fatalf("stored %v, Project gives %v", got.Values, want.Values)
+				}
+				if fast && !sameBits(got.Values, cfg.Values) {
+					t.Fatalf("fast path changed the entry: %v -> %v", cfg.Values, got.Values)
+				}
+				return fast
+			}
+			lineBased := spec.Control == surface.Phase && spec.PhaseBits > 0 && bias == nil
+			// Negative zeros: a shared line projects them to +0.
+			negZero := make([]float64, rows*cols)
+			for k := range negZero {
+				negZero[k] = math.Copysign(0, -1)
+			}
+			store(surface.Config{Property: spec.Control, Values: negZero})
+			// One grid phase on every driven element, stuck ones frozen:
+			// realizable unbiased, but a bias moves Project off it.
+			if spec.Control == surface.Phase && spec.PhaseBits > 0 {
+				grid := make([]float64, rows*cols)
+				for k := range grid {
+					grid[k] = 2 * math.Pi / float64(int(1)<<spec.PhaseBits)
+					if v, ok := frozen[k]; ok {
+						grid[k] = v
+					}
+				}
+				if fast := store(surface.Config{Property: spec.Control, Values: grid}); fast != lineBased {
+					t.Fatalf("a constant grid entry took the fast path: %v, want %v", fast, lineBased)
+				}
+			}
+			for trial := 0; trial < 40; trial++ {
+				vals := make([]float64, rows*cols)
+				for k := range vals {
+					vals[k] = r.Float64() * 2 * math.Pi
+					if spec.Control == surface.Amplitude {
+						vals[k] = r.Float64()
+					}
+				}
+				store(surface.Config{Property: spec.Control, Values: vals})
+				if spec.Control == surface.Amplitude {
+					continue // Realize yields phases
+				}
+				theta := make([]float64, probe.nLines)
+				for g := range theta {
+					theta[g] = r.Float64()*4*math.Pi - math.Pi
+				}
+				cfg := probe.Realize(theta)
+				cfg.Property = spec.Control
+				if fast := store(cfg); fast != lineBased {
+					t.Fatalf("Realize output took the fast path: %v, want %v", fast, lineBased)
+				}
+				if !lineBased {
+					continue
+				}
+				// A stuck element away from its frozen phase.
+				for k := range frozen {
+					moved := surface.Config{Property: cfg.Property, Values: slices.Clone(cfg.Values)}
+					moved.Values[k] = surface.QuantizePhase(moved.Values[k]+1, 0)
+					if store(moved) {
+						t.Fatal("a stuck element off its frozen phase took the fast path")
+					}
+					break
+				}
+				// Off the grid: every driven element of one line moves by a
+				// third of a step.
+				step := 2 * math.Pi / float64(int(1)<<spec.PhaseBits)
+				g := probe.lines[r.Intn(rows*cols)]
+				off := surface.Config{Property: cfg.Property, Values: slices.Clone(cfg.Values)}
+				first, second := -1, -1
+				for k, l := range probe.lines {
+					if _, ok := frozen[k]; ok || l != g {
+						continue
+					}
+					off.Values[k] += step / 3
+					if first < 0 {
+						first = k
+					} else if second < 0 {
+						second = k
+					}
+				}
+				if first < 0 {
+					continue // every element of the line is stuck
+				}
+				if store(off) {
+					t.Fatal("an off-grid line took the fast path")
+				}
+				// Unequal line: one element moves a whole step.
+				if second < 0 {
+					continue // element-wise: a line is one element
+				}
+				uneven := surface.Config{Property: cfg.Property, Values: slices.Clone(cfg.Values)}
+				uneven.Values[second] = surface.QuantizePhase(uneven.Values[second]+step, 0)
+				if store(uneven) {
+					t.Fatal("a line with unequal elements took the fast path")
+				}
+			}
+		})
+	}
+}
+
+func TestStoreCodebookSkipsRealizedEntries(t *testing.T) {
+	t.Run("unbiased", func(t *testing.T) { checkStoreCodebook(t, false, false) })
+	t.Run("biased", func(t *testing.T) { checkStoreCodebook(t, true, false) })
+}
+
+func TestStoreCodebookSkipsRealizedEntriesStuck(t *testing.T) {
+	t.Run("unbiased", func(t *testing.T) { checkStoreCodebook(t, false, true) })
+	t.Run("biased", func(t *testing.T) { checkStoreCodebook(t, true, true) })
 }

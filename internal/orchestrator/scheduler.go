@@ -448,13 +448,15 @@ func (o *Orchestrator) taskTerm(ctx context.Context, t *Task, g *group, spec eng
 // and on top of the fabricated bias. An objective that knows its exact
 // optimum (Solve: one channel without cascade blocks — every link, a
 // one-point power goal) is solved in closed form; every other objective
-// runs Adam from zero phases. The answer is expanded to element phases and
-// projected onto the hardware constraint set once at the end: the driver
-// stays the judge of what is realizable, and for a control-space answer
-// projection is quantization only. Projecting every gradient step would
+// runs Adam from zero phases. The answer is mapped onto the hardware
+// constraint set once at the end: a control-space answer through each
+// driver's Realize, which quantizes per line and expands once, an
+// element-space one through Project. Projecting every gradient step would
 // snap small steps back to the quantization grid and stall (the constraint
 // set is discrete), while a single final projection costs only the usual
-// quantization loss. The returned loss is the element objective's.
+// quantization loss. The returned loss is the Adam run's best loss before
+// that last step, and 0 for a solved objective; nothing reads it, and each
+// task's evaluator scores the realized phases.
 func (o *Orchestrator) optimizeConfigs(ctx context.Context, obj optimize.Objective, devs []*hwmgr.Device) optimize.Result {
 	start := time.Now()
 	work := obj
@@ -473,11 +475,13 @@ func (o *Orchestrator) optimizeConfigs(ctx context.Context, obj optimize.Objecti
 		res = optimize.Adam(ctx, work, optimize.ZeroPhases(work.Shape()), optimize.Options{MaxIters: o.Opts.OptIters})
 	}
 	o.observeOptimize(time.Since(start), res)
-	if maps != nil {
-		res.Phases = rfsim.ExpandAll(maps, res.Phases)
+	if maps == nil {
+		res.Phases = projectPhases(devs, res.Phases)
+		return res
 	}
-	res.Phases = projectPhases(devs, res.Phases)
-	res.Loss, _ = obj.Eval(res.Phases, false)
+	for i, d := range devs {
+		res.Phases[i] = d.Drv.Realize(res.Phases[i]).Values
+	}
 	return res
 }
 

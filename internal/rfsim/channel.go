@@ -224,34 +224,6 @@ func (ch *Channel) Freeze(s int, cfg surface.Config) (*Channel, error) {
 	return out, nil
 }
 
-// Pin folds a subset of surface s's elements into the channel at fixed
-// phases — the stuck-element counterpart of Freeze. The pinned elements'
-// one-bounce terms join Direct and their cascade terms fold into the other
-// surface's single coefficients; their own coefficients become zero, so the
-// remaining channel is exact over the healthy degrees of freedom and any
-// value later supplied for a pinned element is ignored (its gradient is
-// identically zero). Shapes are preserved: config slices keep their
-// indexing. It is Reduce with every element its own control line.
-func (ch *Channel) Pin(s int, stuck map[int]float64) (*Channel, error) {
-	if s < 0 || s >= len(ch.Single) {
-		return nil, fmt.Errorf("rfsim: pin surface %d out of range", s)
-	}
-	maps := make([]ControlMap, len(ch.Single))
-	for i, coeffs := range ch.Single {
-		maps[i] = ElementMap(len(coeffs))
-	}
-	n := len(ch.Single[s])
-	offset := make([]float64, n)
-	for k, phi := range stuck {
-		if k < 0 || k >= n {
-			return nil, fmt.Errorf("rfsim: pin element %d out of range", k)
-		}
-		maps[s].Group[k], offset[k] = -1, phi
-	}
-	maps[s] = NewControlMap(n, maps[s].Group, offset)
-	return ch.Reduce(maps), nil
-}
-
 // NumElements returns the per-surface element counts of the decomposition.
 func (ch *Channel) NumElements() []int {
 	n := make([]int, len(ch.Single))

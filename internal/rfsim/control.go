@@ -133,12 +133,13 @@ func ExpandAll(maps []ControlMap, theta [][]float64) [][]float64 {
 
 // Reduce builds the channel over control variables: Single[s][g] sums the
 // bias-rotated coefficients of the elements line g drives, stuck elements
-// fold into Direct (as Pin does), and each cascade block is summed over
-// line pairs, its stuck rows and columns folding into the other surface's
-// lines or into Direct. The result is exact, not approximate: h depends on
-// a line's phase only through that sum, so the reduced channel at θ equals
-// this channel at ExpandAll(maps, θ). maps must match the channel's shape;
-// when every map is the identity the channel itself is returned.
+// fold into Direct at their frozen phases, and each cascade block is summed
+// over line pairs, its stuck rows and columns folding into the other
+// surface's lines or into Direct. The result is exact, not approximate: h
+// depends on a line's phase only through that sum, so the reduced channel
+// at θ equals this channel at ExpandAll(maps, θ). maps must match the
+// channel's shape; when every map is the identity the channel itself is
+// returned.
 func (ch *Channel) Reduce(maps []ControlMap) *Channel {
 	if len(maps) != len(ch.Single) {
 		panic(fmt.Sprintf("rfsim: %d control maps for %d surfaces", len(maps), len(ch.Single)))

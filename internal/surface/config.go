@@ -71,13 +71,28 @@ func (c Config) Quantize(bits int) Config {
 	if bits <= 0 || c.Property != Phase {
 		return out
 	}
-	n := float64(int(1) << bits)
-	step := 2 * math.Pi / n
+	step := phaseStep(bits)
 	for i, v := range out.Values {
-		out.Values[i] = wrapPhase(math.Round(v/step) * step)
+		out.Values[i] = snapPhase(v, step)
 	}
 	return out
 }
+
+// QuantizePhase is Quantize of one phase value, bit for bit: wrapped into
+// [0, 2π), then, for bits > 0, snapped to the nearest of the 2^bits states.
+func QuantizePhase(v float64, bits int) float64 {
+	v = wrapPhase(v)
+	if bits <= 0 {
+		return v
+	}
+	return snapPhase(v, phaseStep(bits))
+}
+
+// phaseStep is the spacing of the 2^bits phase states.
+func phaseStep(bits int) float64 { return 2 * math.Pi / float64(int(1)<<bits) }
+
+// snapPhase rounds a wrapped phase to the nearest multiple of step.
+func snapPhase(v, step float64) float64 { return wrapPhase(math.Round(v/step) * step) }
 
 // circularMean returns the mean angle of phases (the argument of the phasor
 // sum), in [0, 2π). Returns 0 for an empty or perfectly-cancelling set.
@@ -86,6 +101,23 @@ func circularMean(phases []float64) float64 {
 	for _, p := range phases {
 		sr += math.Cos(p)
 		si += math.Sin(p)
+	}
+	if sr == 0 && si == 0 {
+		return 0
+	}
+	return wrapPhase(math.Atan2(si, sr))
+}
+
+// SharedPhase is circularMean of n copies of v, bit for bit — the value
+// ProjectGranularity gives a phase line whose n elements all hold v — with
+// one Cos and one Sin instead of n of each: the sums add the same terms in
+// the same order.
+func SharedPhase(v float64, n int) float64 {
+	c, s := math.Cos(v), math.Sin(v)
+	var sr, si float64
+	for range n {
+		sr += c
+		si += s
 	}
 	if sr == 0 && si == 0 {
 		return 0

@@ -165,6 +165,35 @@ func TestQuantizeContinuousNormalizes(t *testing.T) {
 	}
 }
 
+// QuantizePhase and SharedPhase are the per-line forms of Quantize and of
+// ProjectGranularity's circular mean; drivers rely on them being equal bit
+// for bit, including at the wrap and the half-step ties.
+func TestLinePhaseHelpersMatchElementForms(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	vals := []float64{0, math.Copysign(0, -1), math.Pi / 4, math.Pi, 2 * math.Pi, -1e-20, 7 * math.Pi / 4}
+	for range 2000 {
+		vals = append(vals, r.Float64()*8*math.Pi-4*math.Pi)
+	}
+	for _, v := range vals {
+		for bits := 0; bits <= 4; bits++ {
+			want := Config{Property: Phase, Values: []float64{v}}.Quantize(bits).Values[0]
+			if got := QuantizePhase(v, bits); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("QuantizePhase(%v, %d) = %v, Quantize gives %v", v, bits, got, want)
+			}
+		}
+		for _, n := range []int{0, 1, 3, 24} {
+			copies := make([]float64, n)
+			for i := range copies {
+				copies[i] = v
+			}
+			want := circularMean(copies)
+			if got := SharedPhase(v, n); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("SharedPhase(%v, %d) = %v, circularMean gives %v", v, n, got, want)
+			}
+		}
+	}
+}
+
 func TestProjectGranularityColumn(t *testing.T) {
 	l := Layout{Rows: 2, Cols: 3, PitchU: 1, PitchV: 1}
 	c := Config{Property: Amplitude, Values: []float64{
