@@ -59,7 +59,12 @@ func BenchmarkFig2Heatmaps(b *testing.B) {
 
 // --- Figure 4 ---
 
+// BenchmarkFig4Hybrid runs Fig. 4 at the quick profile and reports its
+// allocations. B/op counts bytes allocated, not bytes held: the hybrid's
+// per-point cascade channels are allocated either way, so peak memory is
+// measured as the surfos-bench process's maximum RSS instead.
 func BenchmarkFig4Hybrid(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		r, err := experiments.RunFig4(context.Background(), experiments.Quick)
 		if err != nil {

@@ -65,14 +65,18 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Three users spread across the bedroom.
-	users := map[string]surfos.Vec3{
-		"tablet":  surfos.V(1.2, 6.2, 1.2),
-		"laptop":  surfos.V(3.5, 5.0, 1.2),
-		"headset": surfos.V(6.0, 6.4, 1.2),
+	// Three users spread across the bedroom, served in this order: the first
+	// plan fabricates the passive backhaul, the others steer around it.
+	users := []struct {
+		name string
+		pos  surfos.Vec3
+	}{
+		{"tablet", surfos.V(1.2, 6.2, 1.2)},
+		{"laptop", surfos.V(3.5, 5.0, 1.2)},
+		{"headset", surfos.V(6.0, 6.4, 1.2)},
 	}
-	for name, pos := range users {
-		task, err := orch.EnhanceLink(ctx, surfos.LinkGoal{Endpoint: name, Pos: pos, MinSNRdB: 10}, 1)
+	for _, u := range users {
+		task, err := orch.EnhanceLink(ctx, surfos.LinkGoal{Endpoint: u.name, Pos: u.pos, MinSNRdB: 10}, 1)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -81,7 +85,7 @@ func main() {
 		}
 		got, _ := orch.Task(task.ID)
 		fmt.Printf("user %-8s SNR %.1f dB via %v (%s)\n",
-			name, got.Result.Metric, got.Result.Surfaces, got.Result.Strategy)
+			u.name, got.Result.Metric, got.Result.Surfaces, got.Result.Strategy)
 		if err := orch.EndTask(task.ID); err != nil {
 			log.Fatal(err)
 		}

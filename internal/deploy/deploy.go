@@ -40,8 +40,8 @@ type Request struct {
 	Mounts []scene.MountSpot
 	// GridStep is the coverage evaluation spacing (default 0.8 m).
 	GridStep float64
-	// OptIters bounds the per-candidate configuration optimization
-	// (default 80).
+	// OptIters bounds the per-candidate configuration search, which runs
+	// in the design's control space through optimize.Plan (default 80).
 	OptIters int
 	// FreqHz overrides the operating frequency (default: band center).
 	FreqHz float64
@@ -185,12 +185,11 @@ func evaluate(ctx context.Context, req Request, mount scene.MountSpot, freq floa
 		cand.Err = err
 		return cand
 	}
-	res := optimize.Adam(ctx, obj, optimize.ZeroPhases(obj.Shape()), optimize.Options{MaxIters: iters})
-	cfg := d.Project(surface.Config{Property: surface.Phase, Values: res.Phases[0]})
+	cfgs := optimize.PhasesToConfigs(optimize.Plan(ctx, obj, []*driver.Driver{d}, iters).Phases)
 
 	snrs := make([]float64, len(chans))
 	for i, ch := range chans {
-		h, err := ch.Eval([]surface.Config{cfg})
+		h, err := ch.Eval(cfgs)
 		if err != nil {
 			cand.Err = err
 			return cand

@@ -232,7 +232,16 @@ func pin(cfg surface.Config, mask map[int]float64) surface.Config {
 // elements at their frozen phases. Planning optimizes over the map's lines
 // and expands the answer to elements, so a column-wise panel costs one
 // variable per column and the optimizer already searches around a fault.
+// A fabricated passive panel has no lines: every element is held at its
+// burned-in phase, stuck elements at their frozen one.
 func (d *Driver) ControlMap() rfsim.ControlMap {
+	if held := d.burned(); held != nil {
+		group := make([]int, len(held))
+		for k := range group {
+			group[k] = -1
+		}
+		return rfsim.NewControlMap(0, group, held)
+	}
 	d.mu.Lock()
 	bias := d.bias
 	d.mu.Unlock()
@@ -252,6 +261,21 @@ func (d *Driver) ControlMap() rfsim.ControlMap {
 		}
 	}
 	return rfsim.NewControlMap(d.nLines, group, offset)
+}
+
+// burned returns a copy of a fabricated passive panel's pattern, stuck
+// elements pinned on top, or nil for a panel that can still be configured.
+func (d *Driver) burned() []float64 {
+	if d.spec.Reconfigurable {
+		return nil
+	}
+	d.mu.Lock()
+	cfg, err := d.codebook.At(0)
+	d.mu.Unlock()
+	if err != nil {
+		return nil
+	}
+	return slices.Clone(pin(cfg, d.stuckMask()).Values)
 }
 
 // EffectiveActive returns the configuration the panel physically presents
@@ -346,8 +370,12 @@ func (d *Driver) lineValue(w float64, n int) float64 {
 // Project(Expand(θ)) bit for bit. On an unbiased panel it is computed per
 // line instead of per element — lineValue repeats the projection's
 // arithmetic for a line whose driven elements all hold θ[g] — and stuck
-// elements realize their frozen phase. A biased panel is projected.
+// elements realize their frozen phase. A biased panel is projected, and a
+// fabricated passive one, with no lines, realizes its pinned pattern.
 func (d *Driver) Realize(theta []float64) surface.Config {
+	if held := d.burned(); held != nil {
+		return surface.Config{Property: surface.Phase, Values: held}
+	}
 	d.mu.Lock()
 	biased := d.bias != nil
 	d.mu.Unlock()

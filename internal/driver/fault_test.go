@@ -167,3 +167,60 @@ func TestFaultUnconfiguredEffectiveActive(t *testing.T) {
 		t.Fatal("plain driver should report no faults")
 	}
 }
+
+// A passive panel plans like any other until it is fabricated: its control
+// map is the element map. Once fabricated it has no lines; every element is
+// held at its burned-in phase, and Realize returns that pattern whatever it
+// is asked. Elements stuck after fabrication are pinned on top.
+func TestFabricatedPassiveControlMapStuck(t *testing.T) {
+	d, err := New(mustSpec(t, ModelAutoMS), testSurface(t, surface.Reflective, 3, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := d.ControlMap(); !m.Identity() {
+		t.Fatalf("unfabricated passive map is not the element map: %+v", m)
+	}
+	vals := make([]float64, 9)
+	for k := range vals {
+		vals[k] = 0.4 * float64(k)
+	}
+	if err := d.ShiftPhase(surface.Config{Property: surface.Phase, Values: vals}); err != nil {
+		t.Fatal(err)
+	}
+	burned, _, _ := d.Active()
+	check := func(want []float64) {
+		t.Helper()
+		m := d.ControlMap()
+		if m.Groups != 0 || len(m.Group) != 9 {
+			t.Fatalf("fabricated map has %d lines over %d elements, want 0 over 9", m.Groups, len(m.Group))
+		}
+		for k, g := range m.Group {
+			if g != -1 {
+				t.Fatalf("element %d drives line %d on a fabricated panel", k, g)
+			}
+		}
+		if !sameBits(m.Offset, want) {
+			t.Fatalf("held phases %v, want %v", m.Offset, want)
+		}
+		if got := d.Realize(nil); got.Property != surface.Phase || !sameBits(got.Values, want) {
+			t.Fatalf("Realize = %v, want %v", got.Values, want)
+		}
+	}
+	check(burned.Values)
+
+	fm := NewFaultModel(faultSeed(1))
+	d.SetFaults(fm)
+	fm.StickElement(4, 2.5)
+	pinned := append([]float64(nil), burned.Values...)
+	pinned[4] = 2.5
+	check(pinned)
+	eff, _ := d.EffectiveActive()
+	if !sameBits(eff.Values, pinned) {
+		t.Errorf("EffectiveActive %v, held phases %v", eff.Values, pinned)
+	}
+	// The map is a copy: planning cannot rewrite the stored pattern.
+	d.ControlMap().Offset[0] = 99
+	if again, _, _ := d.Active(); !sameBits(again.Values, burned.Values) {
+		t.Error("writing the control map changed the burned-in pattern")
+	}
+}

@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/cmplx"
 	"strings"
-	"sync"
 
 	"surfos/internal/broker"
 	"surfos/internal/driver"
@@ -127,19 +125,15 @@ func elevationBias(s *surface.Surface, feed, target geom.Vec3) []float64 {
 	return bias
 }
 
-// matchedConfig returns the per-element matched-filter phases for a
-// single-surface channel — the ideal dynamic steering configuration for
-// one receiver: every term aligned with the static component.
-func matchedConfig(ch *rfsim.Channel, sIdx int) surface.Config {
-	ref := cmplx.Phase(ch.Direct)
-	vals := make([]float64, len(ch.Single[sIdx]))
-	for k, c := range ch.Single[sIdx] {
-		if c == 0 {
-			continue
-		}
-		vals[k] = ref - cmplx.Phase(c)
-	}
-	return surface.Config{Property: surface.Phase, Values: vals}
+// steer is ideal dynamic steering for one receiver: optimize.Plan co-phases
+// its power over the panels' control lines (in closed form, a fabricated
+// passive panel held at its pattern) and steer returns the channel at the
+// realized configuration.
+func steer(ctx context.Context, ch *rfsim.Channel, drvs ...*driver.Driver) complex128 {
+	obj, _ := optimize.NewPowerObjective([]*rfsim.Channel{ch}) // one channel: cannot fail
+	res := optimize.Plan(ctx, obj, drvs, 0)
+	h, _ := ch.Eval(optimize.PhasesToConfigs(res.Phases)) // Plan returns ch's shape
+	return h
 }
 
 // buildSurface places a square panel of a spec at a mount with λ/2 pitch.
@@ -254,11 +248,10 @@ func RunFig4(ctx context.Context, p Profile) (*Fig4Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		res := optimize.Adam(ctx, obj, optimize.ZeroPhases(obj.Shape()), optimize.Options{MaxIters: par.iters})
-		cfg := d.Project(surface.Config{Property: surface.Phase, Values: res.Phases[0]})
+		cfgs := optimize.PhasesToConfigs(optimize.Plan(ctx, obj, []*driver.Driver{d}, par.iters).Phases)
 		snrs := make([]float64, len(evalGrid))
 		if err := eng.ForEach(ctx, len(evalChans), func(i int) {
-			h, _ := evalChans[i].Eval([]surface.Config{cfg})
+			h, _ := evalChans[i].Eval(cfgs)
 			snrs[i] = budget.SNRdB(h)
 		}); err != nil {
 			return nil, err
@@ -273,8 +266,8 @@ func RunFig4(ctx context.Context, p Profile) (*Fig4Result, error) {
 	}
 
 	// (ii) Programmable-only: dynamic per-user steering (each location is
-	// served by its own matched codebook entry, projected onto the
-	// hardware's column-wise 2-bit constraints).
+	// served by its own plan, co-phased over the hardware's columns and
+	// realized at its 2-bit states).
 	for _, side := range par.progSizes {
 		s, d, err := buildSurface(progSpec, east, fmt.Sprintf("prog-%d", side), side)
 		if err != nil {
@@ -297,9 +290,7 @@ func RunFig4(ctx context.Context, p Profile) (*Fig4Result, error) {
 		}
 		snrs := make([]float64, len(evalGrid))
 		if err := eng.ForEach(ctx, len(chans), func(i int) {
-			cfg := d.Project(matchedConfig(chans[i], 0))
-			h, _ := chans[i].Eval([]surface.Config{cfg})
-			snrs[i] = budget.SNRdB(h)
+			snrs[i] = budget.SNRdB(steer(ctx, chans[i], d))
 		}); err != nil {
 			return nil, err
 		}
@@ -338,35 +329,23 @@ func RunFig4(ctx context.Context, p Profile) (*Fig4Result, error) {
 			TxPatternID:       fmt.Sprintf("fig4-hybrid-%d", side),
 		}
 
-		// Backhaul: the passive panel focuses the AP beam on the
-		// programmable panel's center (fixed at fabrication).
-		backhaul := pd.Project(ps.SteeringConfig(apt.AP, qs.Panel.Center(), em.Band24G))
+		// Backhaul: the passive panel is fabricated to focus the AP beam
+		// on the programmable panel's center; planning holds it there.
+		if err := pd.ShiftPhase(ps.SteeringConfig(apt.AP, qs.Panel.Center(), em.Band24G)); err != nil {
+			return nil, err
+		}
 
-		chans, err := eng.Channels(ctx, spec, apt.AP, evalGrid)
+		// Each point's cascade channel, the sweep's largest object, is built
+		// inside the fan-out and dropped after its plan.
+		tc, err := eng.Tx(ctx, spec, apt.AP)
 		if err != nil {
 			return nil, err
 		}
 		snrs := make([]float64, len(evalGrid))
-		var evalErr error
-		var evalErrMu sync.Mutex
-		if err := eng.ForEach(ctx, len(chans), func(i int) {
-			frozen, err := chans[i].Freeze(0, backhaul)
-			if err != nil {
-				evalErrMu.Lock()
-				if evalErr == nil {
-					evalErr = err
-				}
-				evalErrMu.Unlock()
-				return
-			}
-			cfg := qd.Project(matchedConfig(frozen, 1))
-			h, _ := frozen.Eval([]surface.Config{{Property: surface.Phase}, cfg})
-			snrs[i] = budget.SNRdB(h)
+		if err := eng.ForEach(ctx, len(evalGrid), func(i int) {
+			snrs[i] = budget.SNRdB(steer(ctx, tc.Channel(evalGrid[i]), pd, qd))
 		}); err != nil {
 			return nil, err
-		}
-		if evalErr != nil {
-			return nil, evalErr
 		}
 		out.Hybrid = append(out.Hybrid, Fig4Point{
 			Label:       fmt.Sprintf("%dx%d + %dx%d", side, side, par.hybridProgRows, par.hybridProgCols),
@@ -378,7 +357,7 @@ func RunFig4(ctx context.Context, p Profile) (*Fig4Result, error) {
 
 		// Figure 4(a.ii): RSS heatmap of the largest hybrid on a fine grid.
 		if side == par.hybridPas[len(par.hybridPas)-1] {
-			hm, err := hybridHeatmap(ctx, eng, apt, spec, qd, backhaul, budget, par.evalStep/2)
+			hm, err := hybridHeatmap(ctx, eng, tc, apt, pd, qd, budget, par.evalStep/2)
 			if err != nil {
 				return nil, err
 			}
@@ -390,9 +369,9 @@ func RunFig4(ctx context.Context, p Profile) (*Fig4Result, error) {
 
 // hybridHeatmap evaluates the deployed hybrid's RSS over a fine grid with
 // per-point dynamic steering of the programmable panel. Points are
-// evaluated in parallel on the engine's worker pool; the memoized trace
-// for spec is shared with the sweep that deployed the hybrid.
-func hybridHeatmap(ctx context.Context, eng *engine.Engine, apt *scene.Apartment, spec engine.Spec, qd *driver.Driver, backhaul surface.Config, budget rfsim.LinkBudget, step float64) (*Heatmap, error) {
+// evaluated in parallel on the engine's worker pool from tc, the trace the
+// sweep that deployed the hybrid memoized.
+func hybridHeatmap(ctx context.Context, eng *engine.Engine, tc *rfsim.TxContext, apt *scene.Apartment, pd, qd *driver.Driver, budget rfsim.LinkBudget, step float64) (*Heatmap, error) {
 	reg := apt.Regions[scene.RegionTargetRoom]
 	pts := reg.GridPoints(step, scene.EvalHeight)
 	if len(pts) == 0 {
@@ -411,32 +390,12 @@ func hybridHeatmap(ctx context.Context, eng *engine.Engine, apt *scene.Apartment
 		Cols: cols, Rows: rows, Unit: "dBm",
 		Values: make([]float64, rows*cols),
 	}
-	chans, err := eng.Channels(ctx, spec, apt.AP, pts)
-	if err != nil {
-		return nil, err
-	}
-	var evalErr error
-	var evalErrMu sync.Mutex
-	if err := eng.ForEach(ctx, len(chans), func(i int) {
-		frozen, err := chans[i].Freeze(0, backhaul)
-		if err != nil {
-			evalErrMu.Lock()
-			if evalErr == nil {
-				evalErr = err
-			}
-			evalErrMu.Unlock()
-			return
-		}
-		cfg := qd.Project(matchedConfig(frozen, 1))
-		h, _ := frozen.Eval([]surface.Config{{Property: surface.Phase}, cfg})
+	if err := eng.ForEach(ctx, len(pts), func(i int) {
 		c := i / rows
 		r := i % rows
-		hm.Values[r*cols+c] = budget.RxPowerDBm(h)
+		hm.Values[r*cols+c] = budget.RxPowerDBm(steer(ctx, tc.Channel(pts[i]), pd, qd))
 	}); err != nil {
 		return nil, err
-	}
-	if evalErr != nil {
-		return nil, evalErr
 	}
 	return hm, nil
 }

@@ -8,9 +8,12 @@
 // shifts, which Adam exploits; the derivative-free baseline (random search)
 // only uses Eval. Every service objective is also a Reducer: it rebuilds
 // itself over the hardware's control variables (one phase per column of a
-// column-wise panel), exactly. A coverage or power objective over one
-// cascade-free channel also returns its exact optimum from Solve
-// (co-phasing).
+// column-wise panel, none for a fabricated passive one), exactly. A
+// coverage or power objective over one cascade-free channel also returns
+// its exact optimum from Solve (co-phasing).
+//
+// Plan, the one planner, reduces, then solves or runs Adam, then realizes
+// the answer through each panel's driver.
 package optimize
 
 import (
@@ -42,7 +45,8 @@ type Objective interface {
 // rfsim.Channel.Reduce). The reduced objective's loss at control phases θ
 // equals this one's at rfsim.ExpandAll(maps, θ), normalization constants
 // included, so a plan searched over θ is judged as its expansion would be.
-// Reduce returns nil when the objective cannot be reduced.
+// Reduce panics when maps does not hold one map per surface, as
+// rfsim.Channel.Reduce does.
 type Reducer interface {
 	Reduce(maps []rfsim.ControlMap) Objective
 }
@@ -171,18 +175,12 @@ func NewWeightedSum(terms []Objective, weights []float64) (*WeightedSum, error) 
 // Shape implements Objective.
 func (w *WeightedSum) Shape() []int { return w.Terms[0].Shape() }
 
-// Reduce implements Reducer when every term does, with the same weights;
-// otherwise it returns nil.
+// Reduce implements Reducer: every term reduced, with the same weights.
+// Every term must be a Reducer.
 func (w *WeightedSum) Reduce(maps []rfsim.ControlMap) Objective {
 	terms := make([]Objective, len(w.Terms))
 	for i, t := range w.Terms {
-		r, ok := t.(Reducer)
-		if !ok {
-			return nil
-		}
-		if terms[i] = r.Reduce(maps); terms[i] == nil {
-			return nil
-		}
+		terms[i] = t.(Reducer).Reduce(maps)
 	}
 	return &WeightedSum{Terms: terms, Weights: w.Weights}
 }

@@ -186,7 +186,7 @@ func TestAdamReachesCoherentOptimum(t *testing.T) {
 	}
 }
 
-// solver is the optional closed-form method optimizeConfigs asks for.
+// solver is the optional closed-form method Plan asks for.
 type solver interface {
 	Objective
 	Solve() [][]float64

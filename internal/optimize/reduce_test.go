@@ -77,11 +77,14 @@ func TestReduceKeepsLossAndGradient(t *testing.T) {
 			}
 		}
 	}
-	// A sum with a term that cannot reduce declines as a whole.
+	// A sum with a term that cannot reduce refuses to, loudly.
 	plain, _ := NewWeightedSum([]Objective{cov, opaque{cov}}, []float64{1, 1})
-	if plain.Reduce(maps) != nil {
-		t.Error("a weighted sum with an irreducible term reduced")
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a weighted sum with an irreducible term reduced")
+		}
+	}()
+	plain.Reduce(maps)
 }
 
 // opaque hides an objective's optional methods.

@@ -729,6 +729,25 @@ func TestReconcileSurvivesPrefabricatedPassive(t *testing.T) {
 	if dev.Drv.Updates() != 1 {
 		t.Errorf("passive accepted %d updates, want 1", dev.Drv.Updates())
 	}
+	// The task's SNR is the one the panels present: planned around the
+	// burned-in pattern, not at phases the passive panel never shows.
+	if len(got.Result.Surfaces) != 2 {
+		t.Fatalf("task served by %v, want both panels", got.Result.Surfaces)
+	}
+	_, ch, devs, lb := linkObjective(t, r, 24e9, bedroomPoint())
+	cfgs := make([]surface.Config, len(devs))
+	for i, d := range devs {
+		if cfgs[i], ok = d.Drv.EffectiveActive(); !ok {
+			t.Fatalf("%s has no active configuration", d.ID)
+		}
+	}
+	h, err := ch.Eval(cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := lb.SNRdB(h); math.Abs(got.Result.Metric-want) > 1e-9 {
+		t.Errorf("task reports %.4f dB, the panels deliver %.4f dB", got.Result.Metric, want)
+	}
 }
 
 func TestTickWithoutPlansIsSafe(t *testing.T) {

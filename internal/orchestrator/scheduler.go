@@ -13,7 +13,6 @@ import (
 	"surfos/internal/geom"
 	"surfos/internal/hwmgr"
 	"surfos/internal/optimize"
-	"surfos/internal/rfsim"
 	"surfos/internal/surface"
 	"surfos/internal/telemetry"
 )
@@ -417,16 +416,6 @@ func (o *Orchestrator) specFor(freq float64, devs []*hwmgr.Device) engine.Spec {
 	}
 }
 
-// projectPhases snaps each device's phase vector onto that device's
-// constraint set (granularity sharing, phase quantization, stuck pins).
-func projectPhases(devs []*hwmgr.Device, phases [][]float64) [][]float64 {
-	out := make([][]float64, len(phases))
-	for i, p := range phases {
-		out[i] = devs[i].Drv.Project(surface.Config{Property: surface.Phase, Values: p}).Values
-	}
-	return out
-}
-
 // taskTerm dispatches to the task's service module for its loss term: the
 // objective, its weight inside a joint sum, and the result evaluator.
 func (o *Orchestrator) taskTerm(ctx context.Context, t *Task, g *group, spec engine.Spec) (optimize.Objective, float64, Evaluator, error) {
@@ -441,57 +430,18 @@ func (o *Orchestrator) taskTerm(ctx context.Context, t *Task, g *group, spec eng
 	return obj, svc.Weight(o, t, obj), eval, nil
 }
 
-// optimizeConfigs computes the configuration for an objective over a device
-// set. An objective that can (optimize.Reducer) is rebuilt over the
-// devices' control maps, so the search runs in the hardware's control
-// space: one phase per column of a column-wise panel, around stuck elements
-// and on top of the fabricated bias. An objective that knows its exact
-// optimum (Solve: one channel without cascade blocks — every link, a
-// one-point power goal) is solved in closed form; every other objective
-// runs Adam from zero phases. The answer is mapped onto the hardware
-// constraint set once at the end: a control-space answer through each
-// driver's Realize, which quantizes per line and expands once, an
-// element-space one through Project. Projecting every gradient step would
-// snap small steps back to the quantization grid and stall (the constraint
-// set is discrete), while a single final projection costs only the usual
-// quantization loss. The returned loss is the Adam run's best loss before
-// that last step, and 0 for a solved objective; nothing reads it, and each
-// task's evaluator scores the realized phases.
+// optimizeConfigs plans an objective over a device set through
+// optimize.Plan and records the run on the optimize metrics. Each task's
+// evaluator scores the realized phases.
 func (o *Orchestrator) optimizeConfigs(ctx context.Context, obj optimize.Objective, devs []*hwmgr.Device) optimize.Result {
 	start := time.Now()
-	work := obj
-	var maps []rfsim.ControlMap // nil: work is in element space
-	if r, ok := obj.(optimize.Reducer); ok {
-		cm := controlMaps(devs)
-		if red := r.Reduce(cm); red != nil {
-			work, maps = red, cm
-		}
+	drvs := make([]*driver.Driver, len(devs))
+	for i, d := range devs {
+		drvs[i] = d.Drv
 	}
-	var res optimize.Result
-	if s, ok := work.(interface{ Solve() [][]float64 }); ok {
-		res.Phases = s.Solve() // no evaluations
-	}
-	if res.Phases == nil {
-		res = optimize.Adam(ctx, work, optimize.ZeroPhases(work.Shape()), optimize.Options{MaxIters: o.Opts.OptIters})
-	}
+	res := optimize.Plan(ctx, obj, drvs, o.Opts.OptIters)
 	o.observeOptimize(time.Since(start), res)
-	if maps == nil {
-		res.Phases = projectPhases(devs, res.Phases)
-		return res
-	}
-	for i, d := range devs {
-		res.Phases[i] = d.Drv.Realize(res.Phases[i]).Values
-	}
 	return res
-}
-
-// controlMaps returns each device's control map, in device order.
-func controlMaps(devs []*hwmgr.Device) []rfsim.ControlMap {
-	maps := make([]rfsim.ControlMap, len(devs))
-	for i, d := range devs {
-		maps[i] = d.Drv.ControlMap()
-	}
-	return maps
 }
 
 // observeOptimize feeds one optimizer run into the observability surface:

@@ -12,6 +12,7 @@ import (
 	"surfos/internal/optimize"
 	"surfos/internal/rfsim"
 	"surfos/internal/scene"
+	"surfos/internal/surface"
 )
 
 // linkObjective builds the link service's objective for pos over every
@@ -31,6 +32,16 @@ func linkObjective(t *testing.T, r *rig, freqHz float64, pos geom.Vec3) (*optimi
 		t.Fatal(err)
 	}
 	return obj, ch, devs, ap.Budget
+}
+
+// projected is the element-space reference path a control-space plan is
+// measured against: each device's phases projected onto its hardware.
+func projected(devs []*hwmgr.Device, phases [][]float64) [][]float64 {
+	out := make([][]float64, len(phases))
+	for i, p := range phases {
+		out[i] = devs[i].Drv.Project(surface.Config{Property: surface.Phase, Values: p}).Values
+	}
+	return out
 }
 
 // linkRigs are the hardware sets link plans are checked on: two panels of
@@ -87,7 +98,7 @@ func TestLinkSolveMatchesAdam(t *testing.T) {
 				if got := r.o.optEvals.Load() - evals; got != 0 {
 					t.Errorf("%v: solved run recorded %d evals, want 0", pos, got)
 				}
-				if s, a := snr(res.Phases), snr(projectPhases(devs, adam.Phases)); s < a-0.01 {
+				if s, a := snr(res.Phases), snr(projected(devs, adam.Phases)); s < a-0.01 {
 					t.Errorf("%v: planned SNR %.4f dB, Adam's %.4f dB", pos, s, a)
 				}
 			}
@@ -127,7 +138,10 @@ func TestLinkSolveReachesControlCeiling(t *testing.T) {
 			r := newRigAt(t, fastOpts(), tc.freqHz, tc.model, tc.model)
 			for _, pos := range linkSpots() {
 				obj, ch, devs, lb := linkObjective(t, r, tc.freqHz, pos)
-				maps := controlMaps(devs)
+				maps := make([]rfsim.ControlMap, len(devs))
+				for i, d := range devs {
+					maps[i] = d.Drv.ControlMap()
+				}
 				red := obj.Reduce(maps).(*optimize.CoverageObjective)
 				theta := red.Solve()
 				if theta == nil {
@@ -155,7 +169,7 @@ func TestLinkSolveReachesControlCeiling(t *testing.T) {
 					return lb.SNRdB(h)
 				}
 				planned := snr(r.o.optimizeConfigs(context.Background(), obj, devs).Phases)
-				if old := snr(projectPhases(devs, obj.Solve())); planned < old-1e-9 {
+				if old := snr(projected(devs, obj.Solve())); planned < old-1e-9 {
 					t.Errorf("%v: planned SNR %.4f dB below the element solve's projection, %.4f dB", pos, planned, old)
 				}
 			}
@@ -193,7 +207,7 @@ func TestControlSpaceBeatsElementSpace(t *testing.T) {
 			t.Fatal(err)
 		}
 		adam := optimize.Adam(ctx, obj, optimize.ZeroPhases(obj.Shape()), optimize.Options{MaxIters: opts.OptIters})
-		old := eval(projectPhases(devs, adam.Phases))
+		old := eval(projected(devs, adam.Phases))
 		got := eval(r.o.optimizeConfigs(ctx, obj, devs).Phases)
 		t.Logf("%s: %s %.4f in control space, %.4f in element space", svc.Name(), got.MetricName, got.Metric, old.Metric)
 		if got.Metric < old.Metric {

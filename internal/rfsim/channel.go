@@ -2,7 +2,6 @@ package rfsim
 
 import (
 	"fmt"
-	"math/cmplx"
 	"sync"
 
 	"surfos/internal/em"
@@ -154,74 +153,6 @@ func (ch *Channel) PartialsInto(x, out [][]complex128) [][]complex128 {
 		}
 	}
 	return out
-}
-
-// Freeze folds surface s's configuration into the channel, returning a new
-// channel over the remaining degrees of freedom: s's single terms join
-// Direct, and cross blocks touching s fold into the other surface's single
-// coefficients. The frozen surface's Single entry becomes empty (it no
-// longer has free parameters) so config slices keep their indexing.
-func (ch *Channel) Freeze(s int, cfg surface.Config) (*Channel, error) {
-	if s < 0 || s >= len(ch.Single) {
-		return nil, fmt.Errorf("rfsim: freeze index %d out of range", s)
-	}
-	if len(cfg.Values) != len(ch.Single[s]) {
-		return nil, fmt.Errorf("rfsim: freeze config has %d values, want %d",
-			len(cfg.Values), len(ch.Single[s]))
-	}
-	xs := make([]complex128, len(cfg.Values))
-	for k, phi := range cfg.Values {
-		xs[k] = cmplx.Rect(1, phi)
-	}
-
-	out := &Channel{Freq: ch.Freq, Direct: ch.Direct, Single: make([][]complex128, len(ch.Single))}
-	for i, coeffs := range ch.Single {
-		if i == s {
-			out.Single[i] = nil
-			for k, c := range coeffs {
-				out.Direct += c * xs[k]
-			}
-			continue
-		}
-		d := make([]complex128, len(coeffs))
-		copy(d, coeffs)
-		out.Single[i] = d
-	}
-	for _, blk := range ch.Cross {
-		switch {
-		case blk.A == s && blk.B == s:
-			// Impossible by construction (A != B); skip defensively.
-		case blk.A == s:
-			dst := out.Single[blk.B]
-			for k, row := range blk.M {
-				for m, c := range row {
-					if c != 0 {
-						dst[m] += c * xs[k]
-					}
-				}
-			}
-		case blk.B == s:
-			dst := out.Single[blk.A]
-			for k, row := range blk.M {
-				var acc complex128
-				for m, c := range row {
-					if c != 0 {
-						acc += c * xs[m]
-					}
-				}
-				dst[k] += acc
-			}
-		default:
-			cp := CrossBlock{A: blk.A, B: blk.B, M: make([][]complex128, len(blk.M))}
-			for k, row := range blk.M {
-				r := make([]complex128, len(row))
-				copy(r, row)
-				cp.M[k] = r
-			}
-			out.Cross = append(out.Cross, cp)
-		}
-	}
-	return out, nil
 }
 
 // NumElements returns the per-surface element counts of the decomposition.

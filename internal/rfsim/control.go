@@ -135,11 +135,13 @@ func ExpandAll(maps []ControlMap, theta [][]float64) [][]float64 {
 // bias-rotated coefficients of the elements line g drives, stuck elements
 // fold into Direct at their frozen phases, and each cascade block is summed
 // over line pairs, its stuck rows and columns folding into the other
-// surface's lines or into Direct. The result is exact, not approximate: h
-// depends on a line's phase only through that sum, so the reduced channel
-// at θ equals this channel at ExpandAll(maps, θ). maps must match the
-// channel's shape; when every map is the identity the channel itself is
-// returned.
+// surface's lines or into Direct. A block with a side that has no lines (a
+// fabricated passive panel, every element held) folds wholly into the other
+// side's lines and Direct, leaving no Cross block. The result is exact, not
+// approximate: h depends on a line's phase only through that sum, so the
+// reduced channel at θ equals this channel at ExpandAll(maps, θ). maps must
+// match the channel's shape; when every map is the identity the channel
+// itself is returned.
 func (ch *Channel) Reduce(maps []ControlMap) *Channel {
 	if len(maps) != len(ch.Single) {
 		panic(fmt.Sprintf("rfsim: %d control maps for %d surfaces", len(maps), len(ch.Single)))
@@ -155,6 +157,10 @@ func (ch *Channel) Reduce(maps []ControlMap) *Channel {
 	}
 	for _, blk := range ch.Cross {
 		ma, mb := maps[blk.A], maps[blk.B]
+		if ma.Groups == 0 {
+			out.Direct += foldHeldRows(blk, ma, mb, out.Single[blk.B])
+			continue
+		}
 		// Fold B's side of every row, then A's side of the folded rows.
 		rows := make([][]complex128, len(blk.M))
 		rowFixed := make([]complex128, len(blk.M))
@@ -182,7 +188,28 @@ func (ch *Channel) Reduce(maps []ControlMap) *Channel {
 				}
 			}
 		}
-		out.Cross = append(out.Cross, cp)
+		if mb.Groups > 0 { // else every term folded above
+			out.Cross = append(out.Cross, cp)
+		}
 	}
 	return out
+}
+
+// foldHeldRows reduces a cascade block whose A side has no lines: it sums
+// the rows at A's held phases in element space, then folds the sum once
+// over B's map (folding row by row would cost a fold per A element), adding
+// the line coefficients to dstB. It returns the constant part.
+func foldHeldRows(blk CrossBlock, ma, mb ControlMap, dstB []complex128) complex128 {
+	sum := make([]complex128, len(mb.Group))
+	for k, row := range blk.M {
+		rot := ma.rot(k)
+		for m, c := range row {
+			sum[m] += c * rot
+		}
+	}
+	lines, fixed := mb.Fold(sum)
+	for g, v := range lines {
+		dstB[g] += v
+	}
+	return fixed
 }

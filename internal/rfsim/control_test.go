@@ -25,6 +25,16 @@ func lineMap(rows, cols int, g surface.Granularity, bias []float64, stuck map[in
 	return NewControlMap(groups, group, offset)
 }
 
+// heldMap is the control map of a panel with no lines, every element held
+// at its phase in held: a fabricated passive panel.
+func heldMap(held []float64) ControlMap {
+	group := make([]int, len(held))
+	for k := range group {
+		group[k] = -1
+	}
+	return NewControlMap(0, group, held)
+}
+
 func randAngles(r *rand.Rand, n int) []float64 {
 	out := make([]float64, n)
 	for k := range out {
@@ -135,20 +145,30 @@ func TestReduceMatchesExpandedEval(t *testing.T) {
 
 // Stuck elements fold into Direct and into the other panel's lines through
 // the cascade block, on either side of it, with a bias on the driven
-// elements; a whole stuck line leaves a line with no say.
+// elements; a whole stuck line leaves a line with no say. A panel with no
+// lines (every element held, as a fabricated passive one) folds the same
+// way, on either side of the block or both, and leaves no Cross block; with
+// both panels held, Direct is the full channel at the held phases.
 func TestReduceStuckMatchesExpandedEval(t *testing.T) {
 	sim, _, _ := twoSurfaceSim(t)
 	ch := sim.NewTx(geom.V(-1, 1, 1)).Channel(geom.V(0.5, 3, 1))
+	if len(ch.Cross) == 0 {
+		t.Fatal("fixture lost its cascade blocks")
+	}
 	r := rand.New(rand.NewSource(5))
 	bias := randAngles(r, 9)
 	stuckA := map[int]float64{0: math.Pi, 4: 1.0}
 	stuckB := map[int]float64{2: 0.5, 5: 2.5, 8: 4} // all of column 2
+	heldA, heldB := heldMap(randAngles(r, 9)), heldMap(randAngles(r, 9))
 	for _, tc := range []struct {
 		name string
 		a, b ControlMap
 	}{
 		{"column+bias+stuck/row+stuck", lineMap(3, 3, surface.ColumnWise, bias, stuckA), lineMap(3, 3, surface.RowWise, nil, stuckB)},
 		{"element+stuck/column+bias+stuck", lineMap(3, 3, surface.ElementWise, nil, stuckA), lineMap(3, 3, surface.ColumnWise, bias, stuckB)},
+		{"held/column+bias", heldA, lineMap(3, 3, surface.ColumnWise, bias, nil)},
+		{"element+stuck/held", lineMap(3, 3, surface.ElementWise, nil, stuckA), heldB},
+		{"held/held", heldA, heldB},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			maps := []ControlMap{tc.a, tc.b}
@@ -156,10 +176,32 @@ func TestReduceStuckMatchesExpandedEval(t *testing.T) {
 			// A stuck element's expanded phase is its frozen one, whatever θ.
 			theta := [][]float64{randAngles(r, tc.a.Groups), randAngles(r, tc.b.Groups)}
 			ph := ExpandAll(maps, theta)
-			for k, v := range stuckA {
-				if ph[0][k] != v {
-					t.Errorf("stuck element %d expanded to %v, want %v", k, ph[0][k], v)
+			for s, m := range maps {
+				for k, g := range m.Group {
+					if g < 0 && ph[s][k] != m.Offset[k] {
+						t.Errorf("surface %d stuck element %d expanded to %v, want %v", s, k, ph[s][k], m.Offset[k])
+					}
 				}
+			}
+			if tc.a.Groups > 0 && tc.b.Groups > 0 {
+				return
+			}
+			red := ch.Reduce(maps)
+			if len(red.Cross) != 0 {
+				t.Errorf("%d Cross blocks left beside a panel with no lines", len(red.Cross))
+			}
+			if tc.a.Groups+tc.b.Groups > 0 {
+				return
+			}
+			full, err := ch.Eval([]surface.Config{
+				{Property: surface.Phase, Values: tc.a.Offset},
+				{Property: surface.Phase, Values: tc.b.Offset},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := cmplx.Abs(red.Direct - full); d > 1e-12*termScale(ch) {
+				t.Errorf("held Direct %v, full eval %v", red.Direct, full)
 			}
 		})
 	}

@@ -311,52 +311,23 @@ func TestPartialsMatchNumericalGradient(t *testing.T) {
 	}
 }
 
-func TestFreezeEquivalence(t *testing.T) {
-	sim, _, _ := twoSurfaceSim(t)
-	tc := sim.NewTx(geom.V(-1, 1, 1))
-	ch := tc.Channel(geom.V(0.5, 3, 1))
-
-	r := rand.New(rand.NewSource(7))
-	cfgs := randConfigs(r, ch)
-
-	full, err := ch.Eval(cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	frozen, err := ch.Freeze(0, cfgs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := frozen.Eval([]surface.Config{{Property: surface.Phase}, cfgs[1]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cmplx.Abs(got-full) > 1e-12*(1+cmplx.Abs(full)) {
-		t.Errorf("freeze(0): %v != full %v", got, full)
-	}
-
-	// Freeze the other surface too.
-	frozen2, err := ch.Freeze(1, cfgs[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	got2, err := frozen2.Eval([]surface.Config{cfgs[0], {Property: surface.Phase}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cmplx.Abs(got2-full) > 1e-12*(1+cmplx.Abs(full)) {
-		t.Errorf("freeze(1): %v != full %v", got2, full)
-	}
-}
-
+// Freezing a surface is reducing the channel with a held map on it; a
+// surface out of range or a held map of the wrong size is rejected.
 func TestFreezeErrors(t *testing.T) {
 	ch := &Channel{Single: [][]complex128{{1, 2}}}
-	if _, err := ch.Freeze(3, surface.Config{}); err == nil {
-		t.Error("out-of-range freeze accepted")
+	mustPanic := func(what string, maps []ControlMap) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s accepted", what)
+			}
+		}()
+		ch.Reduce(maps)
 	}
-	if _, err := ch.Freeze(0, surface.Config{Values: []float64{1}}); err == nil {
-		t.Error("wrong-size freeze accepted")
+	mustPanic("out-of-range freeze", []ControlMap{heldMap([]float64{0, 0}), heldMap([]float64{0, 0})})
+	mustPanic("wrong-size freeze", []ControlMap{heldMap([]float64{1})})
+	if got := ch.Reduce([]ControlMap{heldMap([]float64{0, math.Pi})}); len(got.Single[0]) != 0 || cmplx.Abs(got.Direct-(1-2)) > 1e-12 {
+		t.Errorf("frozen channel = %+v, want Direct -1 and no lines", got)
 	}
 }
 
@@ -568,41 +539,6 @@ func TestPerElementOcclusionPartialBlockage(t *testing.T) {
 	}
 	if zero != 0 && zero != s.NumElements() {
 		t.Errorf("center occlusion should be uniform, got %d/%d zero", zero, s.NumElements())
-	}
-}
-
-func TestFreezeComposition(t *testing.T) {
-	// Freezing both surfaces sequentially folds everything into Direct and
-	// must equal the full evaluation.
-	sim, _, _ := twoSurfaceSim(t)
-	tc := sim.NewTx(geom.V(-1, 1, 1))
-	ch := tc.Channel(geom.V(0.5, 3, 1))
-	r := rand.New(rand.NewSource(21))
-	cfgs := randConfigs(r, ch)
-	full, err := ch.Eval(cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f0, err := ch.Freeze(0, cfgs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	f01, err := f0.Freeze(1, cfgs[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f01.Cross) != 0 {
-		t.Error("fully frozen channel still has cross blocks")
-	}
-	got, err := f01.Eval([]surface.Config{{Property: surface.Phase}, {Property: surface.Phase}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cmplx.Abs(got-full) > 1e-12*(1+cmplx.Abs(full)) {
-		t.Errorf("sequential freeze %v != full %v", got, full)
-	}
-	if cmplx.Abs(f01.Direct-full) > 1e-12*(1+cmplx.Abs(full)) {
-		t.Errorf("frozen Direct %v != full %v", f01.Direct, full)
 	}
 }
 

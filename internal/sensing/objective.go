@@ -90,10 +90,11 @@ func NewLocalizationObjective(est *Estimator, locs []*Measurement, beta float64)
 // rows, unless the sensing surface's map is the identity; stuck elements
 // become constant terms of the measurement and of every signature. The
 // reduced objective is for the optimizer: estimate localization error on
-// the element-space objective at the expanded phases.
+// the element-space objective at the expanded phases. It panics when maps
+// does not hold one map per surface.
 func (o *LocalizationObjective) Reduce(maps []rfsim.ControlMap) optimize.Objective {
 	if len(maps) != len(o.shape) {
-		return nil
+		panic(fmt.Sprintf("sensing: %d control maps for %d surfaces", len(maps), len(o.shape)))
 	}
 	sigma := o.Est.SurfIdx
 	nSlots := o.Est.NumSlots()
